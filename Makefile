@@ -62,11 +62,15 @@ load-smoke:
 # fuzz-smoke runs every native fuzz target for a short budget (one
 # target per invocation — the go tool's rule). The seed corpora under
 # testdata/fuzz/ run as plain tests in `make test` already; this step
-# buys a little fresh exploration on every check, so a parser panic or
-# a columns/core divergence surfaces in CI, not in production traffic.
+# buys a little fresh exploration on every check, so a parser panic, a
+# columns/core divergence, a word-at-a-time ReadUint that disagrees with
+# the bit-by-bit reference, or a request-body decoder that disagrees
+# with encoding/json surfaces in CI, not in production traffic.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
 	$(GO) test -run=NONE -fuzz=FuzzBatchColumnsEquivalence -fuzztime=10s ./internal/engine/
+	$(GO) test -run=NONE -fuzz=FuzzReadUint -fuzztime=10s ./internal/bitstr/
+	$(GO) test -run=NONE -fuzz=FuzzProofBody -fuzztime=10s ./internal/serve/
 
 # scale-smoke runs one n=10^5 sweep cell per backend through cmd/lcpsweep
 # — the full generate -> textio write -> parse -> prove -> check pipeline

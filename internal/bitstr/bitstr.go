@@ -9,8 +9,10 @@
 package bitstr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // String is an immutable sequence of bits. The zero value is the empty
@@ -52,19 +54,51 @@ func FromUint(v uint64, width int) String {
 // Parse builds a String from a textual description such as "0110". Spaces
 // are ignored. It panics on any other rune; it is intended for tests.
 func Parse(s string) String {
-	var w Writer
-	for _, r := range s {
-		switch r {
-		case '0':
-			w.WriteBit(false)
-		case '1':
-			w.WriteBit(true)
-		case ' ':
-		default:
-			panic(fmt.Sprintf("bitstr.Parse: invalid rune %q", r))
-		}
+	b, err := ParseBits(strings.ReplaceAll(s, " ", ""))
+	if err != nil {
+		panic(fmt.Sprintf("bitstr.Parse: invalid rune %q", err.(*BitError).Rune))
 	}
-	return w.String()
+	return b
+}
+
+// A BitError reports the first rune of a ParseBits input that is
+// neither '0' nor '1'.
+type BitError struct{ Rune rune }
+
+func (e *BitError) Error() string { return fmt.Sprintf("bad proof bit %q", e.Rune) }
+
+// ParseBits builds a String from text such as "0110", one bit per
+// character, most significant first. It is the one text-to-bits parser
+// behind every wire and file format that spells proofs as 0/1 text. Any
+// other rune is rejected with a *BitError naming it; ParseBits returns
+// no other kind of error.
+//
+// Eight characters are validated and packed into a byte at a time: the
+// bytes '0' (0x30) and '1' (0x31) differ from 0x30 only in the low bit,
+// and one multiply gathers the eight low bits into MSB-first order.
+func ParseBits(text string) (String, error) {
+	n := len(text)
+	data := make([]byte, (n+7)>>3)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := uint64(text[i]) | uint64(text[i+1])<<8 | uint64(text[i+2])<<16 | uint64(text[i+3])<<24 |
+			uint64(text[i+4])<<32 | uint64(text[i+5])<<40 | uint64(text[i+6])<<48 | uint64(text[i+7])<<56
+		if x&0xFEFEFEFEFEFEFEFE != 0x3030303030303030 {
+			break // the byte loop below finds and names the bad rune
+		}
+		// Byte k's low bit sits at bit 8k; the multiply by Σ 2^(9j)
+		// sends it to bit 63-k, so the top byte reads char 0 first.
+		data[i>>3] = byte((x & 0x0101010101010101) * 0x8040201008040201 >> 56)
+	}
+	for ; i < n; i++ {
+		c := text[i]
+		if c&^1 != '0' {
+			r, _ := utf8.DecodeRuneInString(text[i:])
+			return Empty, &BitError{Rune: r}
+		}
+		data[i>>3] |= (c & 1) << (7 - uint(i&7))
+	}
+	return String{data: data, n: n}, nil
 }
 
 // Len returns the number of bits in s.
@@ -94,16 +128,19 @@ func (s String) Equal(t String) bool {
 	return true
 }
 
-// String renders the bits as a "0"/"1" text string.
+// String renders the bits as a "0"/"1" text string, a packed byte (eight
+// characters) at a time.
 func (s String) String() string {
 	var b strings.Builder
 	b.Grow(s.n)
-	for i := 0; i < s.n; i++ {
-		if s.Bit(i) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+	var chunk [8]byte
+	for i, x := range s.data {
+		// Spread bit 7-k of x into byte k, turn each nonzero byte into
+		// 1 (adding 0x7F carries into its top bit), then add '0'.
+		t := uint64(x) * 0x0101010101010101 & 0x0102040810204080
+		t = (t+0x7F7F7F7F7F7F7F7F)>>7&0x0101010101010101 | 0x3030303030303030
+		binary.LittleEndian.PutUint64(chunk[:], t)
+		b.Write(chunk[:min(8, s.n-8*i)])
 	}
 	return b.String()
 }
@@ -215,17 +252,37 @@ func (r *Reader) ReadBit() bool {
 }
 
 // ReadUint reads a width-bit unsigned integer (MSB first). On underflow it
-// returns 0 and sets Err.
+// consumes the rest of the string, returns 0 and sets Err; once Err is set
+// every read still advances but returns 0. Widths over 64 keep the last
+// 64 bits read, as shifting them in one at a time would.
+//
+// The bits are gathered a byte at a time with shifts and masks, not one
+// ReadBit per bit: a verifier reads every label of its view, so this loop
+// is paid deg+1 times per label per check.
 func (r *Reader) ReadUint(width int) uint64 {
-	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if r.ReadBit() {
-			v |= 1
-		}
+	if width <= 0 {
+		return 0
 	}
+	if width > r.s.n-r.pos {
+		r.pos = r.s.n
+		r.err = true
+		return 0
+	}
+	pos, end := r.pos, r.pos+width
+	r.pos = end
 	if r.err {
 		return 0
+	}
+	if width > 64 {
+		pos = end - 64
+	}
+	var v uint64
+	for pos < end {
+		off := pos & 7
+		take := min(8-off, end-pos)
+		b := r.s.data[pos>>3] >> uint(8-off-take) & (1<<uint(take) - 1)
+		v = v<<uint(take) | uint64(b)
+		pos += take
 	}
 	return v
 }

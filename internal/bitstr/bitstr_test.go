@@ -2,6 +2,7 @@ package bitstr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -283,5 +284,197 @@ func BenchmarkWriterUint(b *testing.B) {
 			w.WriteUint(uint64(j), 10)
 		}
 		_ = w.String()
+	}
+}
+
+// parseBitsRef is the per-rune text parser ParseBits replaced.
+func parseBitsRef(text string) (String, rune, bool) {
+	var w Writer
+	for _, r := range text {
+		switch r {
+		case '0':
+			w.WriteBit(false)
+		case '1':
+			w.WriteBit(true)
+		default:
+			return Empty, r, false
+		}
+	}
+	return w.String(), 0, true
+}
+
+func TestParseBits(t *testing.T) {
+	cases := []struct {
+		text string
+		bad  rune // 0: valid
+	}{
+		{"", 0},
+		{"1", 0},
+		{"01101", 0},
+		{"10110010", 0},
+		{"101100101", 0},
+		{strings.Repeat("0110", 17), 0},
+		{"012", '2'},
+		{"0000000x1", 'x'},
+		{"01010101 1", ' '},
+		{"0110é", 'é'},
+		{"01\xff", '\uFFFD'},
+		{strings.Repeat("1", 23) + "😀", '😀'},
+	}
+	for _, c := range cases {
+		got, err := ParseBits(c.text)
+		want, wantBad, wantOK := parseBitsRef(c.text)
+		if c.bad == 0 {
+			if err != nil || !wantOK {
+				t.Errorf("ParseBits(%q): err %v", c.text, err)
+				continue
+			}
+			if !got.Equal(want) || got.String() != c.text {
+				t.Errorf("ParseBits(%q) = %q, want %q", c.text, got, want)
+			}
+			continue
+		}
+		be, ok := err.(*BitError)
+		if !ok || be.Rune != c.bad || wantBad != c.bad {
+			t.Errorf("ParseBits(%q): err %v, want a BitError for %q", c.text, err, c.bad)
+		}
+	}
+	if _, err := ParseBits("0x"); err == nil || err.Error() != `bad proof bit 'x'` {
+		t.Errorf("error text %v", err)
+	}
+}
+
+func TestQuickParseBitsAgreesWithReference(t *testing.T) {
+	alphabet := []rune{'0', '1', '0', '1', '0', '1', '2', ' ', 'é'}
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var b strings.Builder
+		for i := 0; i < int(n); i++ {
+			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
+		}
+		text := b.String()
+		got, err := ParseBits(text)
+		want, bad, ok := parseBitsRef(text)
+		if !ok {
+			be, isBit := err.(*BitError)
+			return isBit && be.Rune == bad
+		}
+		return err == nil && got.Equal(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refReader is the bit-at-a-time Reader that ReadUint's word path
+// replaced: one ReadBit per bit, the reference for FuzzReadUint.
+type refReader struct {
+	s   String
+	pos int
+	err bool
+}
+
+func (r *refReader) readBit() bool {
+	if r.pos >= r.s.n {
+		r.err = true
+		return false
+	}
+	b := r.s.Bit(r.pos)
+	r.pos++
+	return b
+}
+
+func (r *refReader) readUint(width int) uint64 {
+	var v uint64
+	for i := 0; i < width; i++ {
+		v <<= 1
+		if r.readBit() {
+			v |= 1
+		}
+	}
+	if r.err {
+		return 0
+	}
+	return v
+}
+
+// FuzzReadUint drives Reader and refReader through the same sequence of
+// reads and demands identical values, positions, Err and AtEnd after
+// every step. Each op byte picks a read: 255 is ReadBit, anything else is
+// ReadUint of width op%80 — so widths 0, 1..64 and over 64 all occur, and
+// reads running past the end are routine. startErr begins both readers
+// with Err already set at bit start.
+func FuzzReadUint(f *testing.F) {
+	f.Add([]byte{0xA5, 0x3C, 0xFF, 0x00, 0x81}, uint8(3), []byte{6, 7, 1, 255, 13, 2}, uint16(0), false)
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45, 0x67, 0x89}, uint8(0), []byte{64, 8}, uint16(0), false)
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD}, uint8(5), []byte{3, 70, 1}, uint16(0), false)
+	f.Add([]byte{0xFF, 0xFF}, uint8(1), []byte{0, 9, 9, 255, 1}, uint16(0), false)
+	f.Add([]byte{0x5A, 0x5A, 0x5A}, uint8(0), []byte{5, 4, 79}, uint16(7), true)
+	f.Add([]byte{}, uint8(0), []byte{0, 1, 255}, uint16(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8, ops []byte, start uint16, startErr bool) {
+		n := len(data) * 8
+		if n > 0 {
+			n -= int(trim % 8)
+		}
+		s := String{data: data, n: n}
+		st := 0
+		if startErr && n > 0 {
+			st = int(start) % (n + 1)
+		}
+		got := &Reader{s: s, pos: st, err: startErr}
+		want := &refReader{s: s, pos: st, err: startErr}
+		for i, op := range ops {
+			if op == 255 {
+				if g, w := got.ReadBit(), want.readBit(); g != w {
+					t.Fatalf("op %d ReadBit = %v, want %v", i, g, w)
+				}
+			} else {
+				width := int(op % 80)
+				if g, w := got.ReadUint(width), want.readUint(width); g != w {
+					t.Fatalf("op %d ReadUint(%d) at bit %d of %d = %#x, want %#x", i, width, want.pos, n, g, w)
+				}
+			}
+			if got.Remaining() != n-want.pos || got.Err() != want.err {
+				t.Fatalf("op %d: remaining %d err %v, want %d %v", i, got.Remaining(), got.Err(), n-want.pos, want.err)
+			}
+			if got.AtEnd() != (!want.err && want.pos == n) {
+				t.Fatalf("op %d: AtEnd %v", i, got.AtEnd())
+			}
+		}
+	})
+}
+
+// BenchmarkReadUint decodes a slab of labels field by field, as a
+// radius-1 verifier does for every label in its view, and reports the
+// cost per bit read. Field widths cycle through a tree label's typical
+// mix: 6-bit width headers, id- and distance-sized fields and flags.
+func BenchmarkReadUint(b *testing.B) {
+	widths := []int{6, 17, 17, 6, 9, 1, 6, 17, 1}
+	per := 0
+	for _, w := range widths {
+		per += w
+	}
+	rng := rand.New(rand.NewSource(1))
+	labels := make([]String, 1024)
+	for i := range labels {
+		var w Writer
+		for _, width := range widths {
+			w.WriteUint(rng.Uint64()>>(64-uint(width)), width)
+		}
+		labels[i] = w.String()
+	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range labels {
+			r := NewReader(s)
+			for _, w := range widths {
+				sink ^= r.ReadUint(w)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(labels)*per), "ns/bit")
+	if sink == 42 {
+		b.Log(sink)
 	}
 }

@@ -457,19 +457,12 @@ func (w *Worker) check(ctx context.Context, req *Request) (map[int]bool, transpo
 // missing entry is no proof — matching core.Proof's conventions.
 func parseProof(m map[int]string) (core.Proof, error) {
 	p := make(core.Proof, len(m))
-	for id, s := range m {
-		var bw bitstr.Writer
-		for _, r := range s {
-			switch r {
-			case '0':
-				bw.WriteBit(false)
-			case '1':
-				bw.WriteBit(true)
-			default:
-				return nil, fmt.Errorf("remote: proof for node %d: invalid bit %q", id, r)
-			}
+	for id, text := range m {
+		s, err := bitstr.ParseBits(text)
+		if err != nil {
+			return nil, fmt.Errorf("remote: proof for node %d: invalid bit %q", id, err.(*bitstr.BitError).Rune)
 		}
-		p[id] = bw.String()
+		p[id] = s
 	}
 	return p, nil
 }

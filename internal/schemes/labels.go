@@ -60,9 +60,11 @@ func (l treeLabel) encode() bitstr.String {
 
 // decodeTreeLabel reads a treeLabel from the beginning of s, returning the
 // remaining reader so schemes can append their own fields after the tree
-// certificate. ok is false on any malformed input.
-func decodeTreeLabel(s bitstr.String) (l treeLabel, r *bitstr.Reader, ok bool) {
-	r = bitstr.NewReader(s)
+// certificate. ok is false on any malformed input. The reader comes back
+// by value: every verifier decodes each label of its view, so a heap
+// allocated *Reader per label would be paid deg+1 times per node.
+func decodeTreeLabel(s bitstr.String) (l treeLabel, r bitstr.Reader, ok bool) {
+	r = *bitstr.NewReader(s)
 	idW := int(r.ReadUint(widthField))
 	l.Root = int(r.ReadUint(idW))
 	l.Parent = int(r.ReadUint(idW))
@@ -108,7 +110,7 @@ type treeOpts struct {
 }
 
 // labelOf decodes the tree label of node v inside the view.
-func labelOf(w *core.View, v int) (treeLabel, *bitstr.Reader, bool) {
+func labelOf(w *core.View, v int) (treeLabel, bitstr.Reader, bool) {
 	return decodeTreeLabel(w.ProofOf(v))
 }
 

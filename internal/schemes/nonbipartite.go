@@ -71,7 +71,7 @@ func (NonBipartite) Verifier() core.Verifier {
 			return false
 		}
 		_, r, _ := labelOf(w, me)
-		c, ok := readCycleFields(r)
+		c, ok := readCycleFields(&r)
 		if !ok {
 			return false
 		}
@@ -99,7 +99,7 @@ func (NonBipartite) Verifier() core.Verifier {
 		if !okU {
 			return false
 		}
-		cu, okU := readCycleFields(ru)
+		cu, okU := readCycleFields(&ru)
 		if !okU || !cu.OnCycle || cu.Len != c.Len {
 			return false
 		}

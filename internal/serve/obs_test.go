@@ -287,7 +287,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		}
 	}
 	wantFamilies := []string{
-		"lcp_http_request_seconds", "lcp_build_info", "lcp_instances",
+		"lcp_http_request_seconds", "lcp_http_decode_seconds", "lcp_build_info", "lcp_instances",
 		"lcp_instances_evicted_total", "lcp_engine_cache_hits_total",
 		"lcp_engine_cache_misses_total", "lcp_dist_runs_total",
 		"lcp_dist_rounds_total", "lcp_dist_deliveries_total",
@@ -297,6 +297,16 @@ func TestServeMetricsExposition(t *testing.T) {
 		if _, ok := first.types[fam]; !ok {
 			t.Errorf("family %q missing from /metrics", fam)
 		}
+	}
+
+	// The decode layer is timed once per POST request, and only there.
+	decodes, reqs := first.samples[`lcp_http_decode_seconds_count{route="POST /check"}`],
+		first.samples[`lcp_http_request_seconds_count{route="POST /check"}`]
+	if decodes != 3 || reqs != 3 {
+		t.Errorf("POST /check: %v decodes timed over %v requests, want 3 and 3", decodes, reqs)
+	}
+	if _, ok := first.samples[`lcp_http_decode_seconds_count{route="GET /metrics"}`]; ok {
+		t.Error("GET /metrics has a decode histogram")
 	}
 
 	// Counters are monotone across requests: re-check, re-scrape, and
@@ -400,7 +410,7 @@ func TestServeRequestLogging(t *testing.T) {
 	if okLine == "" {
 		t.Fatalf("no log line for successful check; log:\n%s", logText)
 	}
-	for _, want := range []string{`route="POST /check"`, "status=200", "backend=engine", "verdict=accepted", "dur_ms="} {
+	for _, want := range []string{`route="POST /check"`, "status=200", "backend=engine", "verdict=accepted", "dur_ms=", "decode_ms="} {
 		if !strings.Contains(okLine, want) {
 			t.Errorf("success line missing %q: %s", want, okLine)
 		}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lcp"
-	"lcp/internal/bitstr"
 	"lcp/internal/config"
 	"lcp/internal/core"
 	"lcp/internal/engine"
@@ -221,6 +220,9 @@ type traceWriter struct {
 	backend string
 	verdict string
 	errMsg  string
+	// decode is the time the handler spent turning the request body
+	// into an instance or proofs (see noteDecode).
+	decode time.Duration
 }
 
 func (tw *traceWriter) WriteHeader(code int) {
@@ -257,18 +259,35 @@ func note(w http.ResponseWriter, backend, verdict string) {
 	}
 }
 
+// noteDecode charges the time since start to the request's decode
+// layer: the lcp_http_decode_seconds histogram and the decode_ms field
+// of the request log line.
+func noteDecode(w http.ResponseWriter, start time.Time) {
+	if tw, ok := w.(*traceWriter); ok {
+		tw.decode += time.Since(start)
+	}
+}
+
 // handle registers a handler behind the observability middleware: the
 // request's trace ID is adopted from a valid X-Trace-Id header or
 // minted fresh, echoed on the response up front (so even error bodies
 // carry it), and threaded through the request context; the request is
 // then timed into the route's latency histogram and counted by status
 // code, and — when request logging is on — reported as one structured
-// line.
+// line. POST routes, whose bodies carry instances and proofs, also time
+// the decoding of that body on its own.
 func (s *Server) handle(pattern string, fn http.HandlerFunc) {
+	route := obs.Label{Name: "route", Value: pattern}
 	hist := s.reg.Histogram("lcp_http_request_seconds",
 		"HTTP request latency by route.",
-		latencyBoundsSeconds, obs.Label{Name: "route", Value: pattern})
+		latencyBoundsSeconds, route)
 	s.routes[pattern] = hist
+	var decodeHist *obs.Histogram
+	if strings.HasPrefix(pattern, http.MethodPost+" ") {
+		decodeHist = s.reg.Histogram("lcp_http_decode_seconds",
+			"Time spent decoding request bodies (JSON envelope, proofs, instance documents) by route.",
+			latencyBoundsSeconds, route)
+	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		trace := r.Header.Get(obs.TraceHeader)
@@ -284,6 +303,9 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 		}
 		elapsed := time.Since(start)
 		hist.Observe(elapsed.Seconds())
+		if decodeHist != nil {
+			decodeHist.Observe(tw.decode.Seconds())
+		}
 		s.reg.Counter("lcp_http_requests_total",
 			"HTTP requests by route and status code.",
 			obs.Label{Name: "route", Value: pattern},
@@ -291,6 +313,9 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 		if s.logger != nil {
 			line := fmt.Sprintf("trace=%s method=%s route=%q status=%d dur_ms=%.3f",
 				trace, r.Method, pattern, tw.status, float64(elapsed)/float64(time.Millisecond))
+			if decodeHist != nil {
+				line += fmt.Sprintf(" decode_ms=%.3f", float64(tw.decode)/float64(time.Millisecond))
+			}
 			if tw.backend != "" {
 				line += " backend=" + tw.backend
 			}
@@ -329,11 +354,11 @@ type checkRequest struct {
 	Document string `json:"document,omitempty"`
 	// Scheme overrides the document's scheme directive.
 	Scheme string `json:"scheme,omitempty"`
-	// Proof maps node id to a bit string ("0110"); empty means the
-	// document's proof lines.
-	Proof map[string]string `json:"proof,omitempty"`
+	// Proof maps node id to a bit string ("0110"); absent or null means
+	// the document's proof lines.
+	Proof *proofBody `json:"proof,omitempty"`
 	// Proofs is the batch variant (POST /check/batch only).
-	Proofs []map[string]string `json:"proofs,omitempty"`
+	Proofs []*proofBody `json:"proofs,omitempty"`
 	// Backend overrides the execution path for this request: "core",
 	// "dist", "engine", or "engine-dist". It resolves through the same
 	// config.Set resolver as the lcpserve flags, so the names (and the
@@ -416,6 +441,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	defer noteDecode(w, time.Now())
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -473,34 +499,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 	// *resolved* backend (the server default counts, not just the
 	// request fields), so that guard lives in requestConfig.
 	return true
-}
-
-// parseProof decodes the JSON proof map into a core.Proof against the
-// instance's node set.
-func parseProof(in *core.Instance, m map[string]string) (core.Proof, error) {
-	p := make(core.Proof, len(m))
-	for key, bits := range m {
-		id, err := strconv.Atoi(key)
-		if err != nil {
-			return nil, fmt.Errorf("bad proof node id %q", key)
-		}
-		if !in.G.Has(id) {
-			return nil, fmt.Errorf("proof references unknown node %d", id)
-		}
-		var w bitstr.Writer
-		for _, r := range bits {
-			switch r {
-			case '0':
-				w.WriteBit(false)
-			case '1':
-				w.WriteBit(true)
-			default:
-				return nil, fmt.Errorf("node %d: bad proof bit %q", id, r)
-			}
-		}
-		p[id] = w.String()
-	}
-	return p, nil
 }
 
 // formatProof renders a proof as the JSON wire map.
@@ -747,11 +745,26 @@ func (s *Server) remoteCheckerFor(entry *instanceEntry, cfg config.Config, schem
 
 // requestProof picks the proof for a single-proof request: the inline
 // JSON proof if present, the document's proof lines otherwise.
-func requestProof(in *core.Instance, doc *textio.Document, req *checkRequest) (core.Proof, error) {
+func requestProof(w http.ResponseWriter, in *core.Instance, doc *textio.Document, req *checkRequest) (core.Proof, error) {
+	defer noteDecode(w, time.Now())
 	if req.Proof != nil {
 		return parseProof(in, req.Proof)
 	}
 	return doc.Proof, nil
+}
+
+// requestProofs checks a batch request's proofs against the instance.
+func requestProofs(w http.ResponseWriter, in *core.Instance, bodies []*proofBody) ([]core.Proof, error) {
+	defer noteDecode(w, time.Now())
+	proofs := make([]core.Proof, len(bodies))
+	for i, body := range bodies {
+		p, err := parseProof(in, body)
+		if err != nil {
+			return nil, fmt.Errorf("proofs[%d]: %v", i, err)
+		}
+		proofs[i] = p
+	}
+	return proofs, nil
 }
 
 // ---- handlers ----
@@ -759,7 +772,9 @@ func requestProof(in *core.Instance, doc *textio.Document, req *checkRequest) (c
 func (s *Server) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	// The body is already bounded by MaxBytesReader; parse it straight
 	// off the wire.
+	start := time.Now()
 	doc, err := textio.Parse(r.Body)
+	noteDecode(w, start)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse instance: %v", err)
 		return
@@ -908,7 +923,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		// (a no-op on the in-process backends).
 		defer entry.closeRemote()
 	}
-	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
+	p, err := requestProof(w, entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -965,14 +980,10 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch request needs a \"proofs\" array")
 		return
 	}
-	proofs := make([]core.Proof, len(req.Proofs))
-	for i, m := range req.Proofs {
-		p, err := parseProof(entry.Doc.Instance, m)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "proofs[%d]: %v", i, err)
-			return
-		}
-		proofs[i] = p
+	proofs, err := requestProofs(w, entry.Doc.Instance, req.Proofs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	// The façade owns the batch strategy: sequential over the cached
 	// views on the shared-memory backends, a bounded concurrent pool on
@@ -1059,7 +1070,7 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 		// (a no-op on the in-process backends).
 		defer entry.closeRemote()
 	}
-	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
+	p, err := requestProof(w, entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

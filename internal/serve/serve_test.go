@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"lcp"
+	"lcp/internal/bitstr"
 	"lcp/internal/config"
 	"lcp/internal/core"
 	"lcp/internal/dist"
@@ -544,5 +545,135 @@ func TestServeInstanceLifecycleAndErrors(t *testing.T) {
 	noDoc := docText(t, lcp.NewInstance(lcp.Cycle(7)), "bipartite", nil) // odd cycle: not bipartite
 	if resp, body := postJSON(t, ts.URL+"/prove", map[string]any{"document": noDoc}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("prove no-instance: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeHostileProofBodies posts hand-written request bodies at the
+// proof decoder: escapes, whitespace, null in every position, bad ids
+// and bits, unknown nodes, duplicate keys, trailing garbage, wrong JSON
+// types, deep nesting and an oversized body. Each must answer 400 or
+// the verdict core.Check gives on the proof the body spells — never a
+// panic or a 500.
+func TestServeHostileProofBodies(t *testing.T) {
+	ts := newTestServer(t)
+	in := lcp.NewInstance(lcp.Cycle(6))
+	in.NodeLabel = map[int]string{1: core.LabelLeader}
+	scheme := lcp.LeaderElectionScheme()
+	p, err := scheme.Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, scheme.Name(), nil))
+
+	// entries renders p as JSON object members, node 1 first; edit may
+	// rewrite each member's key and label text.
+	entries := func(edit func(key, bits string) string) string {
+		var parts []string
+		for v := 1; v <= 6; v++ {
+			key, bits := strconv.Itoa(v), p[v].String()
+			if edit != nil {
+				parts = append(parts, edit(key, bits))
+			} else {
+				parts = append(parts, fmt.Sprintf("%q:%q", key, bits))
+			}
+		}
+		return strings.Join(parts, ",")
+	}
+	honest := "{" + entries(nil) + "}"
+	escaped := "{\n\t" + entries(func(key, bits string) string {
+		// \u00XX-escape the first character of every key and label.
+		return fmt.Sprintf(" \"\\u%04x%s\" :\r\n \"\\u%04x%s\" ", key[0], key[1:], bits[0], bits[1:])
+	}) + "\n}"
+	withNode1 := func(text string) core.Proof {
+		q := p.Clone()
+		q[1] = bitstr.Parse(text)
+		return q
+	}
+	envelope := func(field, value string) string {
+		return fmt.Sprintf(`{"instance":%q,%q:%s}`, id, field, value)
+	}
+	empty := core.Proof{}
+
+	const bad = 400
+	for _, tc := range []struct {
+		name  string
+		route string
+		body  string
+		want  []core.Proof // the proofs a 200 answer must judge; nil: want 400
+	}{
+		{"honest", "/check", envelope("proof", honest), []core.Proof{p}},
+		{"escapes-and-whitespace", "/check", envelope("proof", escaped), []core.Proof{p}},
+		{"empty-object", "/check", envelope("proof", "{}"), []core.Proof{empty}},
+		{"null-proof-uses-document", "/check", envelope("proof", "null"), []core.Proof{empty}},
+		{"null-label-is-empty", "/check", envelope("proof", strings.Replace(honest, `"1":"`+p[1].String()+`"`, `"1":null`, 1)), []core.Proof{withNode1("")}},
+		{"leading-zero-id", "/check", envelope("proof", strings.Replace(honest, `"1":`, `"01":`, 1)), []core.Proof{p}},
+		{"duplicate-key-last-wins", "/check", envelope("proof", `{"1":"x",`+honest[1:]), []core.Proof{p}},
+		{"duplicate-key-last-bad", "/check", envelope("proof", honest[:len(honest)-1]+`,"1":"x"}`), nil},
+		{"non-numeric-id", "/check", envelope("proof", `{"one":"0"}`), nil},
+		{"negative-id", "/check", envelope("proof", `{"-1":"0"}`), nil},
+		{"unknown-node", "/check", envelope("proof", `{"99":"0"}`), nil},
+		{"bad-bit", "/check", envelope("proof", `{"1":"012"}`), nil},
+		{"non-ascii-bit", "/check", envelope("proof", `{"1":"0é"}`), nil},
+		{"number-label", "/check", envelope("proof", `{"1":1}`), nil},
+		{"array-proof", "/check", envelope("proof", `["0","1"]`), nil},
+		{"string-proof", "/check", envelope("proof", `"0101"`), nil},
+		{"unknown-field", "/check", `{"instance":"` + id + `","proof":{},"extra":1}`, nil},
+		{"garbage-inside-proof", "/check", envelope("proof", `{"1":"0"} x}`), nil},
+		{"unterminated", "/check", envelope("proof", `{"1":"0"`), nil},
+		{"garbage-after-envelope", "/check", envelope("proof", honest) + " trailing", []core.Proof{p}},
+		{"deep-nesting", "/check", envelope("proof", `{"1":`+strings.Repeat("[", 100000)+strings.Repeat("]", 100000)+"}"), nil},
+		{"oversized", "/check", envelope("proof", `{"1":"`+strings.Repeat("0", 17<<20)+`"}`), nil},
+		{"proofs-on-check", "/check", envelope("proofs", "[null]"), nil},
+		{"batch-null-element", "/check/batch", envelope("proofs", "[null]"), []core.Proof{empty}},
+		{"batch-mixed", "/check/batch", envelope("proofs", "["+honest+",null,{},"+escaped+"]"), []core.Proof{p, empty, empty, p}},
+		{"batch-null", "/check/batch", envelope("proofs", "null"), nil},
+		{"batch-bad-element", "/check/batch", envelope("proofs", "["+honest+`,{"1":"2"}]`), nil},
+		{"batch-object", "/check/batch", envelope("proofs", honest), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == nil {
+				if resp.StatusCode != bad {
+					t.Fatalf("status %d, want 400: %.200s", resp.StatusCode, body)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200: %.200s", resp.StatusCode, body)
+			}
+			type verdict struct {
+				Accepted  bool  `json:"accepted"`
+				Rejectors []int `json:"rejectors"`
+			}
+			var got []verdict
+			if tc.route == "/check/batch" {
+				var out struct {
+					Results []verdict `json:"results"`
+				}
+				err = json.Unmarshal(body, &out)
+				got = out.Results
+			} else {
+				var out verdict
+				err = json.Unmarshal(body, &out)
+				got = []verdict{out}
+			}
+			if err != nil || len(got) != len(tc.want) {
+				t.Fatalf("answer %s: %v", body, err)
+			}
+			for i, q := range tc.want {
+				ref := core.Check(in, q, scheme.Verifier())
+				if got[i].Accepted != ref.Accepted() || fmt.Sprint(got[i].Rejectors) != fmt.Sprint(ref.Rejectors()) {
+					t.Errorf("proof %d: got %+v, reference accepted=%v rejectors=%v", i, got[i], ref.Accepted(), ref.Rejectors())
+				}
+			}
+		})
 	}
 }

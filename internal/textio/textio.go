@@ -166,7 +166,7 @@ func Parse(r io.Reader) (*Document, error) {
 			if len(fields) == 3 {
 				bits = fields[2]
 			}
-			s, err := parseBits(bits)
+			s, err := bitstr.ParseBits(bits)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
@@ -197,21 +197,6 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 	}
 	return &Document{Instance: in, Proof: proof, SchemeName: scheme}, nil
-}
-
-func parseBits(s string) (bitstr.String, error) {
-	var w bitstr.Writer
-	for _, r := range s {
-		switch r {
-		case '0':
-			w.WriteBit(false)
-		case '1':
-			w.WriteBit(true)
-		default:
-			return bitstr.Empty, fmt.Errorf("bad proof bit %q", r)
-		}
-	}
-	return w.String(), nil
 }
 
 // Write renders a document in the same format Parse accepts.
