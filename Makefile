@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint doclint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
+.PHONY: check build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
 
 check: build vet lint test fuzz-smoke scale-smoke
 
@@ -18,12 +18,6 @@ vet:
 # zero-diagnostics property from inside the test suite.
 lint:
 	$(GO) run ./cmd/lcplint $$($(GO) list -f '{{.Dir}}' ./...)
-
-# doclint is the old doc-comment-only pass, kept as a deprecated wrapper
-# over the doccomment analyzer; `make lint` (and through it `make check`)
-# covers it.
-doclint:
-	$(GO) run ./cmd/doclint $$($(GO) list -f '{{.Dir}}' ./...)
 
 test:
 	$(GO) test ./...

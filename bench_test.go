@@ -19,6 +19,7 @@ import (
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
+	"lcp/internal/engine"
 	"lcp/internal/lowerbound"
 	"lcp/internal/ports"
 	"lcp/internal/schemes"
@@ -287,7 +288,9 @@ func BenchmarkXM1M2(b *testing.B) {
 }
 
 // BenchmarkDistributedRuntime compares the sequential reference runner
-// with the goroutine-per-node LOCAL runtime on the same verifier.
+// with the LOCAL runtime at one node per shard (the row keeps its
+// historical goroutine-per-node name) on the same verifier. Each
+// iteration is one-shot: a fresh checker wires, floods and is closed.
 func BenchmarkDistributedRuntime(b *testing.B) {
 	in := lcp.NewInstance(lcp.Cycle(127))
 	proof, err := lcp.OddNScheme().Prove(in)
@@ -304,8 +307,13 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 	})
 	b.Run("goroutine-per-node", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := lcp.CheckDistributed(in, proof, v)
-			if err != nil || !res.Accepted() {
+			c, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendDist), lcp.WithShards(in.G.N()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := c.Check(context.Background(), proof)
+			lcp.CloseChecker(c)
+			if err != nil || !rep.Accepted() {
 				b.Fatalf("rejected: %v", err)
 			}
 		}
@@ -363,7 +371,7 @@ func BenchmarkEngineAmortized(b *testing.B) {
 	b.Run("engine-single-worker", func(b *testing.B) {
 		// Same cached views without parallelism: isolates amortization
 		// from the worker pool.
-		eng := lcp.NewEngineWith(in, lcp.EngineOptions{Workers: 1})
+		eng := engine.New(in, engine.Options{Workers: 1})
 		eng.CheckProof(proofs[0], v)
 		b.ResetTimer()
 		start := time.Now()
@@ -530,9 +538,10 @@ func BenchmarkAblationConnectivityCompression(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationViewConstruction compares the three verifier
-// execution strategies: sequential BFS views, per-node goroutines over
-// shared views, and the full message-passing runtime.
+// BenchmarkAblationViewConstruction compares sequential BFS views with
+// the full message-passing runtime, at one node per shard
+// ("message-passing") and at the default GOMAXPROCS shards
+// ("message-passing-sharded").
 func BenchmarkAblationViewConstruction(b *testing.B) {
 	in := lcp.NewInstance(lcp.Cycle(255))
 	scheme := lcp.OddNScheme()
@@ -548,16 +557,9 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parallel-shared-views", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !dist.CheckParallelViews(in, proof, v).Accepted() {
-				b.Fatal("rejected")
-			}
-		}
-	})
 	b.Run("message-passing", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := dist.Check(in, proof, v)
+			res, err := dist.CheckWith(in, proof, v, dist.Options{Shards: in.G.N()})
 			if err != nil || !res.Accepted() {
 				b.Fatal("rejected")
 			}
@@ -565,7 +567,7 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 	})
 	b.Run("message-passing-sharded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := dist.CheckWith(in, proof, v, dist.Options{Sharded: true})
+			res, err := dist.Check(in, proof, v)
 			if err != nil || !res.Accepted() {
 				b.Fatal("rejected")
 			}

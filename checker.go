@@ -36,8 +36,8 @@ const (
 	// node per proof, no caching, no concurrency.
 	BackendCore = string(config.BackendCore)
 	// BackendDist: the message-passing LOCAL runtime — node automata
-	// flood radius-r balls over ports; WithSharded/WithShards/
-	// WithFreeRunning tune its scheduler.
+	// flood radius-r balls over ports; WithShards and WithPartitioner
+	// tune its scheduler.
 	BackendDist = string(config.BackendDist)
 	// BackendEngine: the amortized engine — radius-r view skeletons
 	// cached per instance, checks served by a WithWorkers-bounded pool.
@@ -63,12 +63,12 @@ const (
 //
 // Context cancellation is uniform but backend-granular: the core
 // backend aborts between nodes, the engine backend between proofs of a
-// batch, and the message-passing backends between communication rounds
-// (lockstep mode; free-running runtimes flood to completion). A
-// verifier that panics is converted to an error on the message-passing
-// backends; on the shared-memory backends it propagates to the caller
-// of Check/CheckBatch and must be recovered around CheckStream's
-// channel (internal/serve wraps untrusted verifiers accordingly).
+// batch, and the message-passing backends between communication
+// rounds. A verifier that panics is converted to an error on the
+// message-passing backends; on the shared-memory backends it propagates
+// to the caller of Check/CheckBatch and must be recovered around
+// CheckStream's channel (internal/serve wraps untrusted verifiers
+// accordingly).
 type Checker interface {
 	// Check verifies one proof on every node.
 	Check(ctx context.Context, p Proof) (*Report, error)
@@ -233,31 +233,12 @@ func WithRuntimes(n int) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Runtimes = n }
 }
 
-// WithSharded toggles the message-passing scheduler's sharded layout:
-// node automata batched onto O(GOMAXPROCS) shard goroutines instead of
-// one goroutine per node — the throughput layout once the node count
-// dwarfs the core count.
-func WithSharded(on bool) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist.Sharded = on }
-}
-
 // WithShards sets the scheduler goroutine count per message-passing
-// runtime and implies WithSharded(true) for n > 0 (0 = GOMAXPROCS).
+// runtime (0 = GOMAXPROCS). A count at or above the node count runs one
+// node automaton per goroutine, the paper's network of independent
+// processors.
 func WithShards(n int) CheckerOption {
-	return func(cc *checkerConfig) {
-		cc.cfg.Dist.Shards = n
-		if n > 0 {
-			cc.cfg.Dist.Sharded = true
-		}
-	}
-}
-
-// WithFreeRunning disables the message-passing runtimes' global round
-// barrier in favour of α-synchronization by per-port message counting.
-// Note that free-running runs flood to completion — context
-// cancellation between rounds needs the barrier.
-func WithFreeRunning(on bool) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist.FreeRunning = on }
+	return func(cc *checkerConfig) { cc.cfg.Dist.Shards = n }
 }
 
 // WithPartitioner sets the node→shard assignment policy, applied at
@@ -293,13 +274,6 @@ func WithEngine(e *Engine) CheckerOption {
 	return func(cc *checkerConfig) { cc.engine = e }
 }
 
-// withDistOptions injects a full legacy dist.Options, preserving every
-// scheduler knob (fan-out, port buffers, decide-only sets) for the
-// deprecated CheckDistributedWith wrapper.
-func withDistOptions(opt DistOptions) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist = opt }
-}
-
 // checker is the façade implementation: one backend, one instance, one
 // verifier, state amortized per backend (cached engine, prewired
 // message-passing network).
@@ -322,7 +296,7 @@ var checkerSeq atomic.Uint64
 // NewChecker compiles the options into a Checker for the instance. The
 // verifier is required (WithScheme or WithVerifier); everything else
 // defaults: engine backend, GOMAXPROCS workers, one runtime, contiguous
-// partitioner, goroutine-per-node lockstep scheduler.
+// partitioner, GOMAXPROCS scheduler shards.
 func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("lcp: nil instance")
@@ -408,8 +382,8 @@ func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) 
 
 // close releases the dist backend's wirings back to the runtime's node
 // pool and tells a dist-tcp worker fleet to forget the instance. Used
-// by the one-shot legacy wrappers and CloseChecker; long-lived
-// in-process checkers can simply be garbage collected.
+// by CloseChecker; long-lived in-process checkers can simply be garbage
+// collected.
 func (c *checker) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -63,8 +63,8 @@ func backendMatrix() []backendCase {
 		{"core", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendCore)}},
 		{"dist", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist)}},
 		{"dist-sharded", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3)}},
-		{"dist-sharded-free", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3), lcp.WithFreeRunning(true),
+		{"dist-sharded-bfs", []lcp.CheckerOption{
+			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3),
 			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
 		}},
 		{"engine", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3)}},
@@ -370,8 +370,8 @@ func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersDelegate: the deprecated free functions still
-// answer exactly like the façade.
+// TestLegacyWrappersDelegate: the deprecated free function lcp.Check
+// still answers exactly like the reference.
 func TestLegacyWrappersDelegate(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(10))
 	scheme := lcp.BipartiteScheme()
@@ -384,20 +384,6 @@ func TestLegacyWrappersDelegate(t *testing.T) {
 		want := core.Check(in, proof, scheme.Verifier())
 		if got := lcp.Check(in, proof, scheme.Verifier()); !reflect.DeepEqual(got.Outputs, want.Outputs) {
 			t.Fatalf("lcp.Check diverged: %v vs %v", got.Outputs, want.Outputs)
-		}
-		dres, err := lcp.CheckDistributed(in, proof, scheme.Verifier())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dres.Outputs, want.Outputs) {
-			t.Fatalf("lcp.CheckDistributed diverged: %v vs %v", dres.Outputs, want.Outputs)
-		}
-		sres, err := lcp.CheckDistributedWith(in, proof, scheme.Verifier(), lcp.DistOptions{Sharded: true, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sres.Outputs, want.Outputs) {
-			t.Fatalf("lcp.CheckDistributedWith diverged: %v vs %v", sres.Outputs, want.Outputs)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 func main() {
 	sizesFlag := flag.String("sizes", "16,32,64,128", "comma-separated instance sizes")
 	seed := flag.Int64("seed", 1, "generator seed")
-	distributed := flag.Bool("verify-distributed", false, "run verifiers on the goroutine-per-node runtime too")
+	distributed := flag.Bool("verify-distributed", false, "run verifiers on the engine-dist message-passing backend too")
 	flag.Parse()
 
 	sizes, err := parseSizes(*sizesFlag)

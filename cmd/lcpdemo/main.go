@@ -1,7 +1,8 @@
 // Command lcpdemo walks through the life of a locally checkable proof:
 // build a network, have the prover construct a certificate, verify it
-// with the goroutine-per-node distributed runtime, then tamper with the
-// proof and with the network and watch nodes raise the alarm.
+// with the message-passing runtime at one node per shard goroutine, then
+// tamper with the proof and with the network and watch nodes raise the
+// alarm.
 //
 // Usage:
 //
@@ -49,7 +50,9 @@ func run(n int, seed int64) error {
 	fmt.Println("   node, views collected by synchronous flooding:")
 	// One façade checker on the message-passing backend serves both the
 	// honest and the tampered check; the network wiring is built once.
-	chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist))
+	// One shard per node keeps the run the paper's network of
+	// independent processors.
+	chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist), lcp.WithShards(in.G.N()))
 	if err != nil {
 		return err
 	}

@@ -29,8 +29,8 @@
 // internal/config resolver — the same keys HTTP requests accept as
 // JSON options — so the command line cannot drift from the wire
 // protocol: -backend picks the default execution path (core, dist,
-// engine, engine-dist), -workers / -runtimes / -sharded / -shards /
-// -free-running / -partitioner tune it. Server-level knobs stay their
+// engine, engine-dist, dist-tcp), -workers / -runtimes / -shards /
+// -partitioner / -batch-columns tune it. Server-level knobs stay their
 // own flags: -addr, -max-instances (LRU instance-store bound) and
 // -log-requests (one structured log line per request, carrying the
 // request's trace ID so log lines join with X-Trace-Id headers).

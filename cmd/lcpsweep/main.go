@@ -98,7 +98,7 @@ func main() {
 		families     = flag.String("families", "power-law,regular,road", "comma-separated graph families: power-law, regular, road")
 		backends     = flag.String("backends", "core,dist,engine,engine-dist", "comma-separated checker backends: "+fmt.Sprint(config.Backends()))
 		partitioners = flag.String("partitioners", "contiguous", "comma-separated partitioners for the dist backends: "+strings.Join(partition.Names(), ", "))
-		shardsList   = flag.String("shards", "0", "comma-separated shard counts for the dist backends (0 = GOMAXPROCS, goroutine-per-node layout)")
+		shardsList   = flag.String("shards", "0", "comma-separated shard counts for the dist backends (0 = GOMAXPROCS; a count >= n runs one node per shard)")
 		maxDistN     = flag.Int("max-dist-n", 100000, "largest n the message-passing backends attempt in-process; bigger cells are skipped (the dist-tcp backend scales past this ceiling by spreading shards over lcpworker processes)")
 		seed         = flag.Int64("seed", 1, "base generator seed")
 		out          = flag.String("out", "", "write BENCH_sweep.json-style output to this path")

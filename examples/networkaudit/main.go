@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("backbone certificate:    %d bits/switch, %s\n", treeProof.Size(), res)
 
 	// Continuous distributed audit: every switch re-checks its radius-1
-	// view each round (here once, on the goroutine-per-node runtime,
+	// view each round (here once, on the message-passing runtime,
 	// through the unified façade).
 	ctx := context.Background()
 	audit, err := lcp.NewChecker(tree, lcp.WithScheme(treeScheme), lcp.WithBackend(lcp.BackendDist))

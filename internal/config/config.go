@@ -29,8 +29,7 @@ const (
 	BackendCore Backend = "core"
 	// BackendDist is the message-passing LOCAL runtime: node automata
 	// flood their radius-r balls over ports for Radius() rounds. The
-	// Dist tunables (sharded scheduler, free-running synchronization)
-	// apply here.
+	// Dist tunables (shard count, scheduler partitioner) apply here.
 	BackendDist Backend = "dist"
 	// BackendEngine is the amortized shared-memory engine: radius-r view
 	// skeletons cached per instance, checks served by a worker pool.
@@ -83,9 +82,9 @@ type Config struct {
 	// halo cut and the sharded scheduler layout inside each runtime.
 	// nil means partition.Contiguous{}.
 	Partitioner partition.Partitioner
-	// Dist carries the message-passing scheduler tunables (sharded
-	// layout, shard count, free-running synchronization, port buffers).
-	// Its Partitioner field, when nil, inherits Config.Partitioner.
+	// Dist carries the message-passing scheduler tunables (shard
+	// count, scheduler partitioner). Its Partitioner field, when nil,
+	// inherits Config.Partitioner.
 	Dist dist.Options
 	// BatchColumns selects whether CheckBatch on the engine backend
 	// takes the column-wise batch path (one ball walk feeding all k
@@ -200,11 +199,10 @@ func (c Config) EngineOptions() engine.Options {
 }
 
 // Option describes one textual configuration key of the shared
-// resolver: its Set key (also the lcpserve flag name), whether it is
-// boolean (registered as a toggle flag), and its usage string.
+// resolver: its Set key (also the lcpserve flag name) and its usage
+// string.
 type Option struct {
 	Key   string
-	Bool  bool
 	Usage string
 }
 
@@ -217,18 +215,14 @@ func Options() []Option {
 		{Key: "workers", Usage: "engine worker pool size (0 = GOMAXPROCS)"},
 		{Key: "runtimes", Usage: "message-passing runtimes per instance on the engine-dist backend, each owning one partitioner group's radius-r halo (0 = 1; this is what -shards meant before the facade redesign)"},
 		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (applied to the engine-dist halo cut and the sharded scheduler layout)"},
-		{Key: "sharded", Bool: true, Usage: "batch message-passing nodes onto shared scheduler goroutines instead of one goroutine per node"},
-		{Key: "shards", Usage: "scheduler goroutines per message-passing runtime in sharded mode (0 = GOMAXPROCS; implies sharded). NOTE: pre-facade releases spelled this -dist-shards and used -shards for what is now -runtimes"},
-		{Key: "free-running", Bool: true, Usage: "run message-passing runtimes without a global round barrier (α-synchronization)"},
+		{Key: "shards", Usage: "scheduler goroutines per message-passing runtime (0 = GOMAXPROCS; a count >= the node count runs one node per goroutine). NOTE: pre-facade releases spelled this -dist-shards and used -shards for what is now -runtimes"},
 		{Key: "batch-columns", Usage: fmt.Sprintf("engine-backend batch strategy: auto (column-wise for batches of >= %d proofs), true (always column-wise), false (per-proof loop)", BatchColumnsAutoThreshold)},
 		{Key: "worker-addrs", Usage: "comma-separated lcpworker control addresses (host:port,...) for the dist-tcp backend, one shard per worker"},
 	}
 }
 
-// Set applies one textual option to the config. It accepts every key in
-// Options plus "distributed", the HTTP request alias that serve has
-// always spoken: "distributed=true" selects the engine-dist backend,
-// "distributed=false" the engine backend.
+// Set applies one textual option to the config. It accepts exactly the
+// keys in Options.
 func (c *Config) Set(key, value string) error {
 	fail := func(err error) error { return fmt.Errorf("option %q: %v", key, err) }
 	switch key {
@@ -238,16 +232,6 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		c.Backend = b
-	case "distributed":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		if on {
-			c.Backend = BackendEngineDist
-		} else {
-			c.Backend = BackendEngine
-		}
 	case "workers":
 		n, err := nonNegativeInt(value)
 		if err != nil {
@@ -266,27 +250,12 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		c.Partitioner = p
-	case "sharded":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Dist.Sharded = on
 	case "shards":
 		n, err := nonNegativeInt(value)
 		if err != nil {
 			return fail(err)
 		}
 		c.Dist.Shards = n
-		if n > 0 {
-			c.Dist.Sharded = true
-		}
-	case "free-running":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Dist.FreeRunning = on
 	case "worker-addrs":
 		var addrs []string
 		for _, a := range strings.Split(value, ",") {
@@ -334,15 +303,10 @@ func nonNegativeInt(value string) (int, error) {
 // Flags registers every option of the key table on the flag set, all
 // funneling through c.Set — the lcpserve flag surface is generated from
 // the same table the HTTP options resolve against, so the two can never
-// drift. Boolean options register as toggles (-sharded), the rest as
-// value flags (-runtimes 4).
+// drift. Every option is a value flag (-runtimes 4).
 func Flags(fs *flag.FlagSet, c *Config) {
 	for _, o := range Options() {
 		key := o.Key
-		if o.Bool {
-			fs.BoolFunc(key, o.Usage, func(v string) error { return c.Set(key, v) })
-		} else {
-			fs.Func(key, o.Usage, func(v string) error { return c.Set(key, v) })
-		}
+		fs.Func(key, o.Usage, func(v string) error { return c.Set(key, v) })
 	}
 }

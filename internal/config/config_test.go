@@ -8,8 +8,8 @@ import (
 )
 
 // TestSetResolvesEveryKey walks the resolver through every option of
-// the key table plus the "distributed" alias, and checks the derived
-// dist/engine options carry the values to the right fields.
+// the key table and checks the derived dist/engine options carry the
+// values to the right fields.
 func TestSetResolvesEveryKey(t *testing.T) {
 	var c Config
 	for _, kv := range [][2]string{
@@ -17,9 +17,7 @@ func TestSetResolvesEveryKey(t *testing.T) {
 		{"workers", "5"},
 		{"runtimes", "3"},
 		{"partitioner", "bfs"},
-		{"sharded", "true"},
 		{"shards", "4"},
-		{"free-running", "true"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set(%q, %q): %v", kv[0], kv[1], err)
@@ -36,22 +34,8 @@ func TestSetResolvesEveryKey(t *testing.T) {
 		t.Fatalf("EngineOptions wrong: %+v", eo)
 	}
 	do := c.DistOptions()
-	if !do.Sharded || do.Shards != 4 || !do.FreeRunning || do.Partitioner.Name() != "bfs" {
+	if do.Shards != 4 || do.Partitioner.Name() != "bfs" {
 		t.Fatalf("DistOptions wrong: %+v", do)
-	}
-
-	var d Config
-	if err := d.Set("distributed", "true"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != BackendEngineDist {
-		t.Fatalf("distributed=true resolved to %q", d.Backend)
-	}
-	if err := d.Set("distributed", "false"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != BackendEngine {
-		t.Fatalf("distributed=false resolved to %q", d.Backend)
 	}
 }
 
@@ -63,25 +47,16 @@ func TestSetRejectsBadValues(t *testing.T) {
 		{"workers", "many"},
 		{"runtimes", "-2"},
 		{"partitioner", "psychic"},
-		{"sharded", "maybe"},
-		{"distributed", "sometimes"},
+		{"shards", "-3"},
 		{"warp", "9"},
+		// Removed keys are unknown, not silently ignored.
+		{"sharded", "true"},
+		{"free-running", "true"},
+		{"distributed", "true"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err == nil {
 			t.Fatalf("Set(%q, %q) accepted", kv[0], kv[1])
 		}
-	}
-}
-
-// TestShardsImpliesSharded: a non-zero shard count turns the sharded
-// layout on, matching WithShards at the façade.
-func TestShardsImpliesSharded(t *testing.T) {
-	var c Config
-	if err := c.Set("shards", "2"); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Dist.Sharded {
-		t.Fatal("shards=2 did not imply sharded")
 	}
 }
 
@@ -99,13 +74,13 @@ func TestFlagsGeneratedFromKeyTable(t *testing.T) {
 	}
 	err := fs.Parse([]string{
 		"-backend", "dist", "-workers", "2", "-runtimes", "4",
-		"-partitioner", "greedy", "-sharded", "-shards", "3", "-free-running",
+		"-partitioner", "greedy", "-shards", "3",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Backend != BackendDist || c.Workers != 2 || c.Runtimes != 4 ||
-		c.Partitioner.Name() != "greedy" || !c.Dist.Sharded || c.Dist.Shards != 3 || !c.Dist.FreeRunning {
+		c.Partitioner.Name() != "greedy" || c.Dist.Shards != 3 {
 		t.Fatalf("flag parse landed wrong: %+v", c)
 	}
 

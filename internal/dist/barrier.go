@@ -8,16 +8,16 @@ import (
 // barrier is a reusable round barrier: await blocks until all n
 // participants have arrived, then releases them together and resets for
 // the next round. The runtime uses one barrier per network, re-awaited
-// once per communication round, so the goroutine-per-node automata stay
-// in lockstep without allocating per-round synchronization state.
+// once per communication round, so the shard goroutines stay in
+// lockstep without allocating per-round synchronization state.
 //
 // The barrier doubles as the runtime's cancellation point. An outside
 // watcher (network.run's context watcher) may poison it at any moment;
 // the poison is sampled exactly once per round, by whichever participant
 // trips the barrier, and the sampled decision is published to every
-// participant of that round. All n automata therefore agree on the round
+// participant of that round. All n shards therefore agree on the round
 // at which to abort — the property that keeps a cancelled run from
-// deadlocking: a node that stopped flooding while a neighbour still
+// deadlocking: a shard that stopped flooding while a neighbour still
 // expects its round-r batch would block that neighbour forever.
 type barrier struct {
 	mu    sync.Mutex

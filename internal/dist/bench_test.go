@@ -1,11 +1,9 @@
 package dist_test
 
-// Scheduler benchmarks: how the runtime's tunables (round barrier vs
-// free-running α-synchronization, decision fan-out, per-port buffering)
-// move the needle on different topologies. The root bench_test.go holds
-// the headline three-way comparison (sequential / parallel-shared /
-// message-passing); these benches explain *why* the message-passing
-// numbers look the way they do.
+// Scheduler benchmarks: how the shard count and the topology move the
+// needle on the message-passing runtime. The root bench_test.go holds
+// the headline comparison against the sequential runner; these benches
+// explain *why* the message-passing numbers look the way they do.
 
 import (
 	"fmt"
@@ -33,29 +31,6 @@ func benchCheckWith(b *testing.B, in *core.Instance, opt dist.Options) {
 	}
 }
 
-func BenchmarkSchedulerSynchronization(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	for _, tc := range []struct {
-		name string
-		opt  dist.Options
-	}{
-		{"lockstep-barrier", dist.Options{}},
-		{"free-running", dist.Options{FreeRunning: true}},
-		{"free-running-buf8", dist.Options{FreeRunning: true, PortBuffer: 8}},
-	} {
-		b.Run(tc.name, func(b *testing.B) { benchCheckWith(b, in, tc.opt) })
-	}
-}
-
-func BenchmarkSchedulerFanout(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	for _, fanout := range []int{1, 2, 0 /* GOMAXPROCS */, -1 /* unbounded */} {
-		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			benchCheckWith(b, in, dist.Options{Fanout: fanout})
-		})
-	}
-}
-
 func BenchmarkSchedulerTopology(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -71,14 +46,13 @@ func BenchmarkSchedulerTopology(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerSharded is the headline scheduler comparison:
-// goroutine-per-node versus the sharded layout on cycles whose node
-// count dwarfs GOMAXPROCS (1023 ≥ 4·GOMAXPROCS on any machine this
-// repo targets). Sharding batches the automata onto O(GOMAXPROCS)
-// goroutines, delivers same-shard messages without channels, and shrinks
-// the round barrier from n participants to one per shard — the ns/op gap
-// to goroutine-per-node is what BENCH_dist.json tracks (acceptance bar:
-// ≥1.3× at n ≥ 4·GOMAXPROCS).
+// BenchmarkSchedulerSharded is the headline scheduler comparison: one
+// node per shard (Shards = n, the row keeps its historical
+// goroutine-per-node name) versus the default GOMAXPROCS shards on
+// cycles whose node count dwarfs GOMAXPROCS (1023 ≥ 4·GOMAXPROCS on any
+// machine this repo targets). Fewer shards deliver same-shard messages
+// without channels and shrink the round barrier from n participants to
+// one per shard — the ns/op gap is what BENCH_dist.json tracks.
 func BenchmarkSchedulerSharded(b *testing.B) {
 	for _, n := range []int{255, 1023} {
 		in := lcp.NewInstance(lcp.Cycle(n))
@@ -86,9 +60,8 @@ func BenchmarkSchedulerSharded(b *testing.B) {
 			name string
 			opt  dist.Options
 		}{
-			{"goroutine-per-node", dist.Options{}},
-			{"sharded", dist.Options{Sharded: true}},
-			{"sharded-free-running", dist.Options{Sharded: true, FreeRunning: true}},
+			{"goroutine-per-node", dist.Options{Shards: n}},
+			{"sharded", dist.Options{}},
 		} {
 			b.Run(fmt.Sprintf("cycle-%d/%s", n, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -136,23 +109,4 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkParallelViewsWorkers(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	scheme := lcp.OddNScheme()
-	proof, err := scheme.Prove(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := scheme.Verifier()
-	for _, workers := range []int{1, 2, 4, 0 /* GOMAXPROCS */} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !dist.CheckParallelViewsWith(in, proof, v, dist.Options{Workers: workers}).Accepted() {
-					b.Fatal("rejected")
-				}
-			}
-		})
-	}
 }

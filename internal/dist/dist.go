@@ -4,63 +4,32 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lcp/internal/core"
 	"lcp/internal/partition"
 )
 
 // Options tunes the runtime's scheduler. The zero value is the default
-// configuration used by Check, Collect and CheckParallelViews: one
-// goroutine per node in lockstep.
+// configuration used by Check and Collect: GOMAXPROCS shard goroutines
+// over the contiguous partition, every node deciding.
 type Options struct {
-	// Sharded batches the node automata onto Shards shared worker
-	// goroutines instead of one goroutine per node. Same-shard message
-	// delivery is a direct merge into the neighbour's automaton (no
-	// channel); only cross-shard edges keep their ports. Verdicts are
-	// identical to the goroutine-per-node layout; the trade is model
-	// fidelity (n independent processors) against scheduler pressure
-	// once n ≫ GOMAXPROCS. See shard.go.
-	Sharded bool
-	// Shards is the number of shard goroutines in sharded mode, capped
-	// at the node count. 0 means GOMAXPROCS. Ignored unless Sharded.
+	// Shards is the number of shard goroutines the node automata are
+	// batched onto, capped at the node count. 0 means GOMAXPROCS.
+	// Same-shard message delivery is a direct merge into the
+	// neighbour's automaton (no channel); only cross-shard edges keep
+	// their ports. Shards ≥ n runs one automaton per shard, every edge
+	// a port — the paper's network of n independent processors on the
+	// same round loop. Verdicts are identical for every shard count.
 	Shards int
-	// Partitioner computes the node→shard assignment in sharded mode.
-	// nil means partition.Contiguous{}: near-equal chunks of the
-	// ascending identifier order, the layout the scheduler always had.
-	// Locality-aware partitioners (partition.BFSChunks,
-	// partition.GreedyBalanced) cut fewer edges across shard
-	// boundaries, which means fewer ports, fewer channel operations per
-	// round, and less cross-shard traffic on graphs whose identifiers
-	// do not follow topology. Verdicts are identical under every
-	// assignment. Ignored unless Sharded.
+	// Partitioner computes the node→shard assignment. nil means
+	// partition.Contiguous{}: near-equal chunks of the ascending
+	// identifier order. Locality-aware partitioners
+	// (partition.BFSChunks, partition.GreedyBalanced) cut fewer edges
+	// across shard boundaries, which means fewer ports, fewer channel
+	// operations per round, and less cross-shard traffic on graphs
+	// whose identifiers do not follow topology. Verdicts are identical
+	// under every assignment.
 	Partitioner partition.Partitioner
-	// Fanout bounds how many nodes may run their local decision (view
-	// assembly + verifier call) concurrently once flooding has finished.
-	// The network itself keeps one goroutine per node regardless; the
-	// bound only throttles the CPU-heavy phase so n goroutines do not
-	// thrash the scheduler. 0 means GOMAXPROCS; negative means
-	// unbounded. In sharded mode the option is moot: decision
-	// concurrency is the shard count by construction.
-	Fanout int
-	// PortBuffer is the capacity of each port channel, in round
-	// batches. 0 picks the default: 1 in lockstep mode (a batch is
-	// always drained before the round barrier trips) and 2 in
-	// free-running mode (adjacent nodes skew by at most one round, so
-	// two slots make sends wait-free).
-	PortBuffer int
-	// FreeRunning disables the global round barrier. Rounds are then
-	// aligned only by per-port message counting (each node sends and
-	// receives exactly one batch per port per round), the classic
-	// α-synchronizer. Verdicts are identical; the trade is barrier
-	// latency against per-round buffer reuse. In sharded mode the
-	// counting happens at shard granularity: adjacent shards skew by at
-	// most one round.
-	FreeRunning bool
-	// Workers sizes the CheckParallelViews worker pool. 0 means
-	// GOMAXPROCS.
-	Workers int
 	// DecideOnly restricts the decision phase to the listed nodes: every
 	// node still floods (carriers are part of the communication graph
 	// and must forward records), but only the listed ones assemble views
@@ -73,51 +42,14 @@ type Options struct {
 	DecideOnly []int
 }
 
-func (o Options) fanout() int {
-	switch {
-	case o.Fanout > 0:
-		return o.Fanout
-	case o.Fanout < 0:
-		return 0 // unbounded
-	default:
-		return runtime.GOMAXPROCS(0)
-	}
-}
-
-func (o Options) portBuffer() int {
-	if o.PortBuffer > 0 {
-		return o.PortBuffer
-	}
-	if o.FreeRunning {
-		return 2
-	}
-	return 1
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // shardCount resolves the shard goroutine count for an n-node network:
-// 0 when sharding is off, otherwise at least 1 and at most n.
+// at least 1 and at most n.
 func (o Options) shardCount(n int) int {
-	if !o.Sharded || n == 0 {
-		return 0
-	}
 	s := o.Shards
 	if s <= 0 {
 		s = runtime.GOMAXPROCS(0)
 	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, min(s, n))
 }
 
 // partitioner resolves the shard partitioner: the configured one, or
@@ -136,28 +68,26 @@ type nodeVerdict struct {
 	err error
 }
 
-// Check runs the verifier on the message-passing runtime: one goroutine
-// per node floods for Radius() rounds, assembles its view, and decides.
+// Check runs the verifier on the message-passing runtime: every node
+// automaton floods for Radius() rounds, assembles its view, and decides.
 // The result is verdict-for-verdict identical to core.Check. The error is
 // non-nil only if the network could not run (nil arguments) or a verifier
-// panicked inside a node goroutine.
+// panicked inside a shard goroutine.
 func Check(in *core.Instance, p core.Proof, v core.Verifier) (*core.Result, error) {
 	return CheckWith(in, p, v, Options{})
 }
 
-// CheckWith is Check with an explicit scheduler configuration —
-// including Options.Sharded, which runs the same protocol on shared
-// shard goroutines instead of one goroutine per node.
+// CheckWith is Check with an explicit scheduler configuration: the
+// shard count, the node→shard partitioner, and the deciding subset.
 func CheckWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
 	//lint:ignore ctxflow ctx-less CheckWith is the documented uncancellable entry point; CheckWithCtx is the threaded variant
 	return CheckWithCtx(context.Background(), in, p, v, opt)
 }
 
-// CheckWithCtx is CheckWith with context cancellation: lockstep runs
-// abort between communication rounds (the context watcher poisons the
-// round barrier and every automaton stops after the same round) and
-// return ctx.Err(). Free-running runs have no barrier and honor the
-// context only at run boundaries.
+// CheckWithCtx is CheckWith with context cancellation: runs abort
+// between communication rounds (the context watcher poisons the round
+// barrier and every shard stops after the same round) and return
+// ctx.Err().
 func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("dist: nil instance")
@@ -175,7 +105,7 @@ func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.V
 	if err != nil {
 		return nil, err
 	}
-	res, err := net.run(ctx, in, p, v, opt)
+	res, err := net.run(ctx, in, p, v)
 	net.release()
 	return res, err
 }
@@ -207,45 +137,4 @@ func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Option
 	v := net.collect(in, center, radius)
 	net.release()
 	return v
-}
-
-// CheckParallelViews is the shared-memory fast path: a worker pool sized
-// by GOMAXPROCS builds BFS views and verifies them in parallel. It
-// returns the same result as core.Check without message passing —
-// benchmark foil for the full runtime.
-func CheckParallelViews(in *core.Instance, p core.Proof, v core.Verifier) *core.Result {
-	return CheckParallelViewsWith(in, p, v, Options{})
-}
-
-// CheckParallelViewsWith is CheckParallelViews with an explicit worker
-// pool size.
-func CheckParallelViewsWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) *core.Result {
-	nodes := in.G.Nodes()
-	outs := make([]bool, len(nodes))
-	workers := opt.workers()
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	radius := v.Radius()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				outs[i] = v.Verify(core.BuildView(in, p, nodes[i], radius))
-			}
-		}()
-	}
-	wg.Wait()
-	res := &core.Result{Outputs: make(map[int]bool, len(nodes))}
-	for i, id := range nodes {
-		res.Outputs[id] = outs[i]
-	}
-	return res
 }

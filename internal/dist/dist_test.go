@@ -5,10 +5,13 @@ package dist_test
 //
 //  1. dist.Collect produces views identical to core.BuildView on random
 //     trees, cycles, regular graphs and directed graphs, across radii;
-//  2. dist.Check and dist.CheckParallelViews agree with core.Check
+//  2. dist.Check and dist.CheckWith agree with core.Check
 //     verdict-for-verdict (Outputs and Rejectors) across every scheme in
 //     the root catalog, on yes-instances, no-instances with adversarial
 //     proofs, and tampered honest proofs.
+//
+// Both hold at the default shard count and with one node per shard
+// (Options.Shards = n), the model-faithful run.
 
 import (
 	"fmt"
@@ -51,15 +54,17 @@ func viewsEqual(t *testing.T, ctx string, got, want *core.View) {
 	}
 }
 
-// collectEqualsBuildViewEverywhere floods each radius once per node and
+// collectEqualsBuildViewEverywhere floods each radius once per node —
+// at the default shard count and with one node per shard — and
 // cross-checks against the sequential reference.
 func collectEqualsBuildViewEverywhere(t *testing.T, name string, in *core.Instance, p core.Proof, radii []int) {
 	t.Helper()
 	for _, r := range radii {
 		for _, v := range in.G.Nodes() {
-			got := dist.Collect(in, p, v, r)
 			want := core.BuildView(in, p, v, r)
-			viewsEqual(t, fmt.Sprintf("%s r=%d v=%d", name, r, v), got, want)
+			viewsEqual(t, fmt.Sprintf("%s r=%d v=%d", name, r, v), dist.Collect(in, p, v, r), want)
+			perNode := dist.CollectWith(in, p, v, r, dist.Options{Shards: in.G.N()})
+			viewsEqual(t, fmt.Sprintf("%s r=%d v=%d one-node-per-shard", name, r, v), perNode, want)
 		}
 	}
 }
@@ -130,23 +135,17 @@ func TestCollectEqualsBuildViewDirected(t *testing.T) {
 
 // TestCollectSchedulerVariants re-runs the same collection under every
 // scheduler configuration; the assembled views must not depend on the
-// synchronization strategy.
+// shard count or the partition.
 func TestCollectSchedulerVariants(t *testing.T) {
 	in := core.NewInstance(lcp.RandomConnected(18, 0.2, 5))
 	p := core.RandomProof(in, 6, 5)
 	want := core.BuildView(in, p, in.G.Nodes()[3], 2)
 	for _, opt := range []dist.Options{
 		{},
-		{FreeRunning: true},
-		{PortBuffer: 8},
-		{FreeRunning: true, PortBuffer: 1}, // backpressure: sends may block, must still terminate
-		{Fanout: 1},
-		{Fanout: -1},
-		{Sharded: true},
-		{Sharded: true, Shards: 4},
-		{Sharded: true, Shards: 4, FreeRunning: true},
-		{Sharded: true, Shards: 4, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 4, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
+		{Shards: in.G.N()}, // one node per shard
+		{Shards: 4},
+		{Shards: 4, Partitioner: partition.BFSChunks{}},
+		{Shards: 4, Partitioner: partition.GreedyBalanced{}},
 	} {
 		got := dist.CollectWith(in, p, want.Center, 2, opt)
 		viewsEqual(t, fmt.Sprintf("opts=%+v", opt), got, want)
@@ -168,12 +167,11 @@ func resultsEqual(t *testing.T, ctx string, got, want *core.Result) {
 	}
 }
 
-// checkAllRunners runs every execution strategy — sequential reference,
-// goroutine-per-node message passing, sharded message passing (several
-// shard counts, so shard boundaries fall inside the instance; every
-// partitioner, lockstep and free-running, so arbitrary node→shard
-// assignments are exercised catalog-wide), and the parallel shared-view
-// pool — and demands identical results.
+// checkAllRunners runs the sequential reference and the message-passing
+// runtime at several shard counts — the default, one node per shard, and
+// three shards under every partitioner, so shard boundaries fall inside
+// the instance and arbitrary node→shard assignments are exercised
+// catalog-wide — and demands identical results.
 func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, v core.Verifier) {
 	t.Helper()
 	want := core.Check(in, p, v)
@@ -183,21 +181,17 @@ func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, 
 	}
 	resultsEqual(t, ctx+" [message-passing]", got, want)
 	for _, opt := range []dist.Options{
-		{Sharded: true},            // GOMAXPROCS shards, contiguous default
-		{Sharded: true, Shards: 3}, // cross-shard ports guaranteed for n > 3
-		{Sharded: true, Shards: 3, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 3, Partitioner: partition.GreedyBalanced{}},
-		{Sharded: true, Shards: 3, FreeRunning: true},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
+		{Shards: in.G.N()}, // one node per shard: every edge a port
+		{Shards: 3},        // cross-shard ports guaranteed for n > 3
+		{Shards: 3, Partitioner: partition.BFSChunks{}},
+		{Shards: 3, Partitioner: partition.GreedyBalanced{}},
 	} {
 		sres, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
-			t.Fatalf("%s: sharded opts=%+v: %v", ctx, opt, err)
+			t.Fatalf("%s: opts=%+v: %v", ctx, opt, err)
 		}
-		resultsEqual(t, fmt.Sprintf("%s [sharded opts=%+v]", ctx, opt), sres, want)
+		resultsEqual(t, fmt.Sprintf("%s [opts=%+v]", ctx, opt), sres, want)
 	}
-	resultsEqual(t, ctx+" [parallel-views]", dist.CheckParallelViews(in, p, v), want)
 }
 
 // TestCheckAgreesWithCoreAcrossCatalog sweeps every scheme in the root
@@ -250,29 +244,17 @@ func TestCheckSchedulerVariants(t *testing.T) {
 	}
 	for _, opt := range []dist.Options{
 		{},
-		{FreeRunning: true},
-		{FreeRunning: true, PortBuffer: 1},
-		{Fanout: 1, PortBuffer: 4},
-		{Fanout: -1},
-		{Workers: 1},
-		{Workers: 3},
-		{Sharded: true},
-		{Sharded: true, Shards: 1},
-		{Sharded: true, Shards: 5},
-		{Sharded: true, Shards: 5, FreeRunning: true},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 1},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 8},
-		{Sharded: true, Shards: 5, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 5, Partitioner: partition.GreedyBalanced{}},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 1, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 5, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
+		{Shards: 16}, // one node per shard
+		{Shards: 1},
+		{Shards: 5},
+		{Shards: 5, Partitioner: partition.BFSChunks{}},
+		{Shards: 5, Partitioner: partition.GreedyBalanced{}},
 	} {
 		got, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
 			t.Fatalf("opts=%+v: %v", opt, err)
 		}
 		resultsEqual(t, fmt.Sprintf("opts=%+v", opt), got, want)
-		resultsEqual(t, fmt.Sprintf("pv opts=%+v", opt), dist.CheckParallelViewsWith(in, p, v, opt), want)
 	}
 }
 
@@ -294,8 +276,8 @@ func TestCheckRadiusZero(t *testing.T) {
 }
 
 // TestCheckNegativeRadius: a (pathological) negative verifier radius
-// floods zero rounds but must surface the raw radius in the view, so all
-// three runners still agree with core.Check.
+// floods zero rounds but must surface the raw radius in the view, so
+// every runner still agrees with core.Check.
 func TestCheckNegativeRadius(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(5))
 	v := core.VerifierFunc{R: -1, F: func(w *core.View) bool { return w.Radius >= 0 }}

@@ -11,38 +11,28 @@
 // core.BuildView and Check to core.Check — a property the tests assert —
 // but the information only ever travels along edges.
 //
-// Two execution layouts run the same protocol:
+// One in-process layout runs the protocol: the node automata are
+// batched onto Options.Shards shard goroutines (GOMAXPROCS by default),
+// placed by Options.Partitioner. Same-shard delivery is a direct merge
+// with no channel, only cross-shard edges keep one-slot channel ports,
+// and a reusable barrier with one participant per shard ends every
+// round. The barrier is also the cancellation point: a cancelled
+// context aborts every run between rounds. Shards ≥ n is the
+// model-faithful run — one automaton per shard, every edge a port, the
+// paper's network of n independent processors — on the same loop.
+// Because a node's verdict depends only on its radius-r view, the shard
+// count and the partition change the cost of a run, never its verdicts.
 //
-//   - goroutine-per-node (the default): one goroutine per node, one
-//     channel per directed port — the faithful reading of "a network of
-//     independent processors";
-//   - sharded (Options.Sharded): the node automata are batched onto
-//     O(GOMAXPROCS) shard goroutines; same-shard delivery is a direct
-//     merge with no channel, only cross-shard edges keep ports, and the
-//     round barrier shrinks from n participants to one per shard. This
-//     is the throughput layout once n ≫ GOMAXPROCS.
+// RunShard is the same four-phase round over a transport.Transport, for
+// a shard of a partitioned instance living in another process.
 //
-// Together with the shared-memory foils that sidestep message passing
-// entirely, four execution strategies are benchmarked at the repository
-// root (BenchmarkAblationViewConstruction):
+// The reusable Network type wires a network once per instance and
+// re-checks it against many proofs; it keeps a small pool of wirings so
+// concurrent checks do not serialize.
 //
-//   - core.Check: sequential BFS views (the reference runner);
-//   - CheckParallelViews: a worker pool over BFS views, sized by
-//     GOMAXPROCS — the fast path when the whole instance lives in one
-//     address space;
-//   - Check: the goroutine-per-node message-passing runtime;
-//   - CheckWith{Sharded: true}: the sharded message-passing runtime.
-//
-// The scheduler is tunable via Options: sharding (count and on/off), a
-// bounded fan-out for the local decision phase, a reusable round barrier
-// (or free-running α-synchronization via per-port message counting), and
-// per-port, per-round message buffers. The reusable Network type wires a
-// network once per instance and re-checks it against many proofs; it
-// keeps a small pool of wirings so concurrent checks do not serialize.
-//
-// Regardless of layout, each node assembles its view incrementally: the
-// induced edges of the ball are collected as records arrive (see
-// node.learn) and the ball graph is frozen through graph.FromParts, so
-// the per-node induced-subgraph rebuild that used to dominate the
-// decision phase is amortized into the flooding rounds.
+// Each node assembles its view incrementally: the induced edges of the
+// ball are collected as records arrive (see node.learn) and the ball
+// graph is frozen through graph.FromParts, so the per-node
+// induced-subgraph rebuild that used to dominate the decision phase is
+// amortized into the flooding rounds.
 package dist

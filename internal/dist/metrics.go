@@ -20,9 +20,12 @@ var (
 	distRuns        = obs.Default().Counter("lcp_dist_runs_total", "Completed distributed verification runs.")
 	distRunsAborted = obs.Default().Counter("lcp_dist_runs_aborted_total", "Distributed runs aborted by context cancellation.")
 	distRounds      = obs.Default().Counter("lcp_dist_rounds_total", "Communication rounds executed by completed runs.")
-	distCrossShard  = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard rides a channel port, same-shard is a direct merge. The goroutine-per-node layout is all ports, hence all cross-shard.", obs.Label{Name: "link", Value: "cross-shard"})
-	distSameShard   = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard rides a channel port, same-shard is a direct merge. The goroutine-per-node layout is all ports, hence all cross-shard.", obs.Label{Name: "link", Value: "same-shard"})
+	distCrossShard  = obs.Default().Counter("lcp_dist_deliveries_total", deliveriesHelp, obs.Label{Name: "link", Value: "cross-shard"})
+	distSameShard   = obs.Default().Counter("lcp_dist_deliveries_total", deliveriesHelp, obs.Label{Name: "link", Value: "same-shard"})
 )
+
+// deliveriesHelp is shared by both link kinds of one counter family.
+const deliveriesHelp = "Message deliveries by completed runs, split by link kind: cross-shard rides a channel port, same-shard is a direct merge. With one node per shard every delivery is cross-shard."
 
 // MetricsSnapshot is a point-in-time read of the runtime's counters,
 // for tests and tools that want deltas around a run.

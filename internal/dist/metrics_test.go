@@ -25,7 +25,7 @@ func TestMetricsPerNodeCycle(t *testing.T) {
 	v := core.VerifierFunc{R: r, F: func(*core.View) bool { return true }}
 
 	before := dist.Metrics()
-	if _, err := dist.Check(in, nil, v); err != nil {
+	if _, err := dist.CheckWith(in, nil, v, dist.Options{Shards: n}); err != nil {
 		t.Fatal(err)
 	}
 	after := dist.Metrics()
@@ -37,8 +37,8 @@ func TestMetricsPerNodeCycle(t *testing.T) {
 		t.Errorf("rounds delta = %v, want %d", got, r)
 	}
 	// A cycle has n undirected edges = 2n directed ports; every port
-	// carries one batch per round, and the per-node layout has no
-	// same-shard links at all.
+	// carries one batch per round, and with one node per shard there are
+	// no same-shard links at all.
 	if got := after.CrossShardDeliveries - before.CrossShardDeliveries; got != 2*n*r {
 		t.Errorf("cross-shard deliveries delta = %v, want %d", got, 2*n*r)
 	}
@@ -51,7 +51,7 @@ func TestMetricsShardedCycle(t *testing.T) {
 	const n, r = 12, 2
 	in := core.NewInstance(lcp.Cycle(n))
 	v := core.VerifierFunc{R: r, F: func(*core.View) bool { return true }}
-	opt := dist.Options{Sharded: true, Shards: 2, Partitioner: partition.Contiguous{}}
+	opt := dist.Options{Shards: 2, Partitioner: partition.Contiguous{}}
 
 	before := dist.Metrics()
 	if _, err := dist.CheckWith(in, nil, v, opt); err != nil {

@@ -88,11 +88,10 @@ func (nw *Network) Check(p core.Proof, v core.Verifier) (*core.Result, error) {
 	return nw.CheckCtx(context.Background(), p, v)
 }
 
-// CheckCtx is Check with context cancellation: lockstep runs abort
-// between communication rounds (the watcher poisons the round barrier,
-// so every automaton stops after the same round and the wiring stays
-// reusable) and return ctx.Err(). Free-running runs flood to completion
-// and honor the context only at run boundaries.
+// CheckCtx is Check with context cancellation: runs abort between
+// communication rounds (the watcher poisons the round barrier, so every
+// shard stops after the same round and the wiring stays reusable) and
+// return ctx.Err().
 func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")
@@ -113,7 +112,7 @@ func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) 
 		<-nw.sem
 		return nil, err
 	}
-	res, err := net.run(ctx, nw.in, p, v, nw.opt)
+	res, err := net.run(ctx, nw.in, p, v)
 	nw.put(net)
 	<-nw.sem
 	return res, err

@@ -70,9 +70,7 @@ func TestNetworkSchedulerVariants(t *testing.T) {
 	want := core.Check(in, p, v)
 	for _, opt := range []dist.Options{
 		{},
-		{FreeRunning: true},
-		{FreeRunning: true, PortBuffer: 1},
-		{Fanout: 1},
+		{Shards: in.G.N()}, // one node per shard
 	} {
 		nw, err := dist.NewNetwork(in, opt)
 		if err != nil {

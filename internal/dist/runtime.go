@@ -23,12 +23,10 @@ import (
 // (plus the globally known input, which the model hands to every node up
 // front).
 //
-// Two execution layouts share the automata. In goroutine-per-node mode
-// every node runs on its own goroutine and every directed port is a
-// channel. In sharded mode (Options.Sharded) the nodes are batched onto
-// a small number of shard goroutines; delivery between same-shard nodes
-// is a direct merge into the neighbour's automaton — no channel — and
-// only cross-shard edges keep their ports. See shard.go.
+// The nodes are batched onto shard goroutines; delivery between
+// same-shard nodes is a direct merge into the neighbour's automaton —
+// no channel — and only cross-shard edges keep their ports. See
+// shard.go for the round loop.
 
 // record is the unit of knowledge flooded through the network: everything
 // a single node knows at round 0 — its identifier, proof string, input
@@ -85,16 +83,14 @@ func initialRecord(in *core.Instance, v int, buf []edgeRec) record {
 	return rec
 }
 
-// node is the per-automaton state: the unit of execution in
-// goroutine-per-node mode, one entry of a shard's work list in sharded
-// mode.
+// node is the per-automaton state: one entry of a shard's work list.
 type node struct {
 	id      int
 	carrier bool           // floods but never decides (Options.DecideOnly)
 	base    record         // round-0 knowledge minus the proof (constant across runs)
 	in      []<-chan batch // one port per cross-shard communication neighbour
 	out     []chan<- batch
-	local   []*node        // sharded mode: same-shard neighbours, merged into directly
+	local   []*node        // same-shard neighbours, merged into directly
 	known   map[int]record // id -> record, everything learned so far
 	dist    map[int]int    // id -> round of first arrival (= BFS distance)
 	// indEdges accumulates the ball's induced edges incrementally: an
@@ -106,16 +102,9 @@ type node struct {
 	indEdges []edgeRec
 	// cur is the batch to send this round (learned last round); next
 	// accumulates this round's discoveries. The two swap every round so
-	// message buffers are reused instead of reallocated (safe in
-	// lockstep mode: a batch is fully drained before the barrier trips).
+	// message buffers are reused instead of reallocated (safe because a
+	// batch is fully drained before the round barrier trips).
 	cur, next batch
-	// ring holds the per-round batch buffers of the free-running
-	// sharded layout, indexed by the shard's round counter modulo the
-	// ring length. Without a barrier a two-buffer swap is unsafe (a
-	// neighbouring shard may still be reading a batch sent several
-	// rounds ago), but a ring of portBuffer+2 buffers is — see the
-	// cooling argument at floodShardFreeRunning.
-	ring []batch
 }
 
 // nodePool recycles node automata — and with them the record edge
@@ -164,10 +153,6 @@ func (nd *node) release() {
 	clear(nd.cur)
 	clear(nd.next)
 	nd.cur, nd.next = nd.cur[:0], nd.next[:0]
-	for i := range nd.ring {
-		clear(nd.ring[i])
-		nd.ring[i] = nd.ring[i][:0]
-	}
 	clear(nd.in)
 	clear(nd.out)
 	nd.in, nd.out = nd.in[:0], nd.out[:0]
@@ -203,41 +188,6 @@ func (nd *node) learn(rec record, round int) {
 			nd.indEdges = append(nd.indEdges, er)
 		}
 	}
-}
-
-// flood runs the synchronous flooding protocol for the given number of
-// rounds on a dedicated goroutine. Each round: send the previous round's
-// discoveries on every port, receive exactly one batch per port, merge
-// first-arrivals. When bar is non-nil every round ends at the reusable
-// global barrier; when nil, per-port message counting alone keeps rounds
-// aligned (α-synchronization), and batches are freshly allocated because
-// a slow receiver may still hold the previous round's slice.
-//
-// flood reports whether the run was aborted by a poisoned barrier (a
-// cancelled context): the barrier publishes the same decision to every
-// participant, so all automata stop after the same round with every
-// port drained — no goroutine is left blocked on a neighbour that quit.
-// Free-running mode has no barrier and always floods to completion.
-func (nd *node) flood(rounds int, bar *barrier) bool {
-	for r := 1; r <= rounds; r++ {
-		for _, port := range nd.out {
-			port <- nd.cur
-		}
-		if bar != nil {
-			// Reuse the already-drained previous buffer.
-			nd.next = nd.next[:0]
-		} else {
-			nd.next = nil
-		}
-		for _, port := range nd.in {
-			nd.merge(<-port, r)
-		}
-		nd.cur, nd.next = nd.next, nd.cur
-		if bar != nil && bar.await() {
-			return true
-		}
-	}
-	return false
 }
 
 // assemble reconstructs the radius-r view from flooded knowledge. The
@@ -300,21 +250,18 @@ func (nd *node) assemble(in *core.Instance, radius int) *core.View {
 	return w
 }
 
-// network wires one node automaton per graph vertex. In
-// goroutine-per-node mode every directed port (u → v for every
-// communication edge) is a dedicated channel; in sharded mode the nodes
-// are additionally grouped into shard work lists by the configured
-// partitioner's node→shard assignment — any assignment works, same-
-// shard delivery stays a direct merge and only cross-shard edges get
-// channels — and the wiring pool above sees no difference. The wiring
-// is proof-free: each run seeds the nodes with the proof under test, so
-// one network serves arbitrarily many proofs.
+// network wires one node automaton per graph vertex and groups the
+// nodes into shard work lists by the configured partitioner's
+// node→shard assignment — any assignment works: same-shard delivery is
+// a direct merge and every cross-shard directed port (u → v for a cut
+// communication edge) is a one-slot channel. The wiring is proof-free:
+// each run seeds the nodes with the proof under test, so one network
+// serves arbitrarily many proofs.
 type network struct {
 	nodes    []*node
 	deciders int       // nodes that assemble + verify (all unless DecideOnly)
-	shards   [][]*node // non-nil iff Options.Sharded; partition of nodes
-	bar      *barrier  // nil in free-running mode
-	ringLen  int       // free-running sharded batch ring length (portBuffer+2)
+	shards   [][]*node // partition of nodes, one work list per shard goroutine
+	bar      *barrier  // one participant per shard
 	// crossPorts and localLinks fix the per-round delivery counts for
 	// this wiring: every port carries one batch per round, every local
 	// link merges once per round. countRun multiplies them by the round
@@ -327,13 +274,11 @@ func buildNetwork(in *core.Instance, opt Options) (*network, error) {
 	ids := in.G.Nodes()
 	// Resolve the shard assignment before any node is drawn from the
 	// pool, so an invalid custom partitioner costs nothing to reject.
-	// assign[i] is the shard owning ids[i]; nil when not sharded.
-	var assign []int
-	if shards := opt.shardCount(len(ids)); shards > 0 {
-		assign = opt.partitioner().Assign(in.G, shards)
-		if err := partition.Validate(assign, len(ids), shards); err != nil {
-			return nil, fmt.Errorf("dist: partitioner %q: %v", opt.partitioner().Name(), err)
-		}
+	// assign[i] is the shard owning ids[i].
+	shards := opt.shardCount(len(ids))
+	assign := opt.partitioner().Assign(in.G, shards)
+	if err := partition.Validate(assign, len(ids), shards); err != nil {
+		return nil, fmt.Errorf("dist: partitioner %q: %v", opt.partitioner().Name(), err)
 	}
 	net := &network{nodes: make([]*node, len(ids)), deciders: len(ids)}
 	byID := make(map[int]*node, len(ids))
@@ -353,35 +298,39 @@ func buildNetwork(in *core.Instance, opt Options) (*network, error) {
 			}
 		}
 	}
-	if assign != nil {
-		net.shards = make([][]*node, opt.shardCount(len(ids)))
-		for i, nd := range net.nodes {
-			net.shards[assign[i]] = append(net.shards[assign[i]], nd)
-		}
-		net.ringLen = opt.portBuffer() + 2
+	// Carve the shard work lists out of one backing array (a counting
+	// sort by shard), so one node per shard costs no allocation per
+	// shard: each list starts empty with exactly its members' capacity.
+	bounds := make([]int, shards+1)
+	for _, s := range assign {
+		bounds[s+1]++
 	}
-	buf := opt.portBuffer()
+	for s := 1; s <= shards; s++ {
+		bounds[s] += bounds[s-1]
+	}
+	members := make([]*node, len(ids))
+	net.shards = make([][]*node, shards)
+	for s := range net.shards {
+		net.shards[s] = members[bounds[s]:bounds[s]:bounds[s+1]]
+	}
 	for i, nd := range net.nodes {
+		net.shards[assign[i]] = append(net.shards[assign[i]], nd)
 		for _, w := range in.G.UndirectedNeighbors(nd.id) {
-			if assign != nil && assign[in.G.Index(w)] == assign[i] {
+			if assign[in.G.Index(w)] == assign[i] {
 				// Same shard: deliver by direct merge, no channel.
 				nd.local = append(nd.local, byID[w])
 				net.localLinks++
 				continue
 			}
-			ch := make(chan batch, buf)
+			// One slot suffices: a port's batch is drained before the
+			// round barrier trips, so every send finds the slot free.
+			ch := make(chan batch, 1)
 			nd.out = append(nd.out, ch)
 			byID[w].in = append(byID[w].in, ch)
 			net.crossPorts++
 		}
 	}
-	if !opt.FreeRunning {
-		participants := len(ids)
-		if net.shards != nil {
-			participants = len(net.shards)
-		}
-		net.bar = newBarrier(participants)
-	}
+	net.bar = newBarrier(shards)
 	return net, nil
 }
 
@@ -407,11 +356,9 @@ var errRunAborted = errors.New("dist: run cancelled")
 // this run still touches a node automaton.
 //
 // A cancellable ctx (Done() != nil) is watched by a helper goroutine
-// that poisons the round barrier, so lockstep runs abort between
-// rounds and return ctx.Err() instead of flooding to completion.
-// Free-running runs have no barrier to poison and run to completion —
-// cancellation there is honored only at run boundaries.
-func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
+// that poisons the round barrier, so runs abort between rounds and
+// return ctx.Err() instead of flooding to completion.
+func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier) (*core.Result, error) {
 	radius := v.Radius()
 	rounds := radius
 	if rounds < 0 {
@@ -423,29 +370,27 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 		nd.seed(p)
 	}
 	stopSeed()
-	if net.bar != nil {
-		net.bar.reset()
-		if ctx != nil && ctx.Done() != nil {
-			watchDone := make(chan struct{})
-			watcherExited := make(chan struct{})
-			go func() {
-				defer close(watcherExited)
-				select {
-				case <-ctx.Done():
-					net.bar.poison()
-				case <-watchDone:
-				}
-			}()
-			// Join the watcher before returning: a cancellation arriving
-			// during the decide phase must land its poison before this
-			// run ends, not after a pooled reuse of the wiring has reset
-			// the barrier — a stale poison would spuriously abort the
-			// next, uncancelled run.
-			defer func() {
-				close(watchDone)
-				<-watcherExited
-			}()
-		}
+	net.bar.reset()
+	if ctx != nil && ctx.Done() != nil {
+		watchDone := make(chan struct{})
+		watcherExited := make(chan struct{})
+		go func() {
+			defer close(watcherExited)
+			select {
+			case <-ctx.Done():
+				net.bar.poison()
+			case <-watchDone:
+			}
+		}()
+		// Join the watcher before returning: a cancellation arriving
+		// during the decide phase must land its poison before this run
+		// ends, not after a pooled reuse of the wiring has reset the
+		// barrier — a stale poison would spuriously abort the next,
+		// uncancelled run.
+		defer func() {
+			close(watchDone)
+			<-watcherExited
+		}()
 	}
 	// Deciders never block sending: the channel holds every verdict.
 	verdicts := make(chan nodeVerdict, net.deciders)
@@ -459,11 +404,7 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 		floodNS = new(atomic.Int64)
 	}
 	stopRun := tl.Start("dist.run")
-	if net.shards != nil {
-		net.runSharded(in, radius, rounds, v, verdicts, &wg, floodNS)
-	} else {
-		net.runPerNode(in, radius, rounds, v, opt, verdicts, &wg, floodNS)
-	}
+	net.runShards(in, radius, rounds, v, verdicts, &wg, floodNS)
 	res := &core.Result{Outputs: make(map[int]bool, net.deciders)}
 	var firstErr error
 	for i := 0; i < net.deciders; i++ {
@@ -492,44 +433,6 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 	return res, nil
 }
 
-// runPerNode is the goroutine-per-node execution layout: every automaton
-// floods and decides on its own goroutine, with the decision phase
-// throttled by the fan-out semaphore. An aborted flood still reports a
-// verdict per decider — carrying errRunAborted instead of a decision —
-// so run's collection loop always drains exactly net.deciders entries.
-func (net *network) runPerNode(in *core.Instance, radius, rounds int, v core.Verifier, opt Options, verdicts chan<- nodeVerdict, wg *sync.WaitGroup, floodNS *atomic.Int64) {
-	var sem chan struct{}
-	if k := opt.fanout(); k > 0 {
-		sem = make(chan struct{}, k)
-	}
-	wg.Add(len(net.nodes))
-	for _, nd := range net.nodes {
-		go func(nd *node) {
-			defer wg.Done()
-			var t0 time.Time
-			if floodNS != nil {
-				t0 = time.Now()
-			}
-			aborted := nd.flood(rounds, net.bar)
-			if floodNS != nil {
-				storeMax(floodNS, int64(time.Since(t0)))
-			}
-			if nd.carrier {
-				return
-			}
-			if aborted {
-				verdicts <- nodeVerdict{id: nd.id, err: errRunAborted}
-				return
-			}
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			verdicts <- decide(nd, in, radius, v)
-		}(nd)
-	}
-}
-
 // decide assembles one node's view and runs the verifier, converting a
 // verifier panic into a per-node error instead of killing the process.
 func decide(nd *node, in *core.Instance, radius int, v core.Verifier) (out nodeVerdict) {
@@ -544,7 +447,7 @@ func decide(nd *node, in *core.Instance, radius int, v core.Verifier) (out nodeV
 }
 
 // collect floods the already-seeded network and assembles the view of
-// center. It is Collect's engine under both execution layouts.
+// center. It is Collect's engine.
 func (net *network) collect(in *core.Instance, center, radius int) *core.View {
 	rounds := radius
 	if rounds < 0 {
@@ -552,30 +455,17 @@ func (net *network) collect(in *core.Instance, center, radius int) *core.View {
 	}
 	var view *core.View
 	var wg sync.WaitGroup
-	if net.shards != nil {
-		for _, group := range net.shards {
-			wg.Add(1)
-			go func(group []*node) {
-				defer wg.Done()
-				floodShard(group, rounds, net.bar, net.ringLen)
-				for _, nd := range group {
-					if nd.id == center {
-						view = nd.assemble(in, radius)
-					}
-				}
-			}(group)
-		}
-	} else {
-		for _, nd := range net.nodes {
-			wg.Add(1)
-			go func(nd *node) {
-				defer wg.Done()
-				nd.flood(rounds, net.bar)
+	for _, group := range net.shards {
+		wg.Add(1)
+		go func(group []*node) {
+			defer wg.Done()
+			floodShard(group, rounds, net.bar)
+			for _, nd := range group {
 				if nd.id == center {
 					view = nd.assemble(in, radius)
 				}
-			}(nd)
-		}
+			}
+		}(group)
 	}
 	wg.Wait()
 	return view

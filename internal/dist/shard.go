@@ -8,21 +8,19 @@ import (
 	"lcp/internal/core"
 )
 
-// The sharded execution layout. A goroutine per node is the faithful
-// reading of the LOCAL model, but once n ≫ GOMAXPROCS the runtime spends
-// its time parking goroutines and tripping an n-participant barrier
-// rather than flooding. Sharded mode batches the node automata onto
-// O(GOMAXPROCS) shard goroutines: each shard steps all of its nodes
-// through one communication round together, delivering same-shard
-// messages by a direct merge into the neighbour's automaton (no channel)
-// and using ports only across shard boundaries. The barrier shrinks from
-// n participants to one per shard.
+// The round loop. The node automata are batched onto shard goroutines
+// (Options.Shards, GOMAXPROCS by default): each shard steps all of its
+// nodes through one communication round together, delivering
+// same-shard messages by a direct merge into the neighbour's automaton
+// (no channel) and using ports only across shard boundaries. The round
+// barrier has one participant per shard. With Shards ≥ n every shard
+// owns one automaton and every edge is a port — the paper's network of
+// independent processors, run by the same loop.
 //
-// The round semantics are unchanged, which is what keeps verdicts
-// identical to the goroutine-per-node layout (and hence to core.Check):
-// within a round every automaton's outgoing batch (cur) is frozen before
-// any delivery happens, so a merge can never leak round-r knowledge into
-// a round-r send. A round runs in four strict phases per shard —
+// Verdicts are identical to core.Check for every shard count: within a
+// round every automaton's outgoing batch (cur) is frozen before any
+// delivery happens, so a merge can never leak round-r knowledge into a
+// round-r send. A round runs in four strict phases per shard —
 //
 //	1. send cur on every cross-shard port (non-blocking: each port has a
 //	   free slot by the time the round starts);
@@ -33,19 +31,15 @@ import (
 //
 // Phases 1–3 only read cur buffers, and a batch sent over a port is
 // drained by the receiving shard before it reaches its own barrier, so
-// lockstep mode reuses batch buffers exactly like the per-node layout.
-// Free-running mode works too: shards align by per-port message
-// counting, adjacent shards skew by at most one round, and the default
-// two-slot port buffer keeps sends wait-free.
+// the two batch buffers of every node are reused round after round.
 
-// runSharded fans the verdict work out by shard: every shard goroutine
-// floods its node range and then assembles and verifies each owned node
-// in place. The decision fan-out option is moot here — decision
-// concurrency is the shard count by construction. An aborted flood (a
-// cancelled run poisoning the shard barrier) still reports one verdict
-// per owned decider, carrying errRunAborted, so run's collection loop
-// drains exactly net.deciders entries.
-func (net *network) runSharded(in *core.Instance, radius, rounds int, v core.Verifier, verdicts chan<- nodeVerdict, wg *sync.WaitGroup, floodNS *atomic.Int64) {
+// runShards fans the verdict work out by shard: every shard goroutine
+// floods its nodes and then assembles and verifies each owned node in
+// place, so decision concurrency is the shard count. An aborted flood
+// (a cancelled run poisoning the shard barrier) still reports one
+// verdict per owned decider, carrying errRunAborted, so run's
+// collection loop drains exactly net.deciders entries.
+func (net *network) runShards(in *core.Instance, radius, rounds int, v core.Verifier, verdicts chan<- nodeVerdict, wg *sync.WaitGroup, floodNS *atomic.Int64) {
 	wg.Add(len(net.shards))
 	for _, group := range net.shards {
 		go func(group []*node) {
@@ -54,7 +48,7 @@ func (net *network) runSharded(in *core.Instance, radius, rounds int, v core.Ver
 			if floodNS != nil {
 				t0 = time.Now()
 			}
-			aborted := floodShard(group, rounds, net.bar, net.ringLen)
+			aborted := floodShard(group, rounds, net.bar)
 			if floodNS != nil {
 				storeMax(floodNS, int64(time.Since(t0)))
 			}
@@ -73,20 +67,13 @@ func (net *network) runSharded(in *core.Instance, radius, rounds int, v core.Ver
 }
 
 // floodShard steps every node of one shard through the flooding
-// protocol, one communication round at a time. bar is the shard-level
-// barrier; when nil (free-running mode) the rounds are paced by per-port
-// message counting alone and the batch buffers rotate through a ring
-// sized by ringLen instead of the lockstep two-buffer swap.
+// protocol, one communication round at a time; bar is the shard-level
+// barrier.
 //
 // The return value reports a poisoned-barrier abort: every shard gets
 // the same per-round decision from the barrier, so all of them stop
-// after the same round with every port drained. Free-running shards
-// have no barrier and always flood to completion.
-func floodShard(group []*node, rounds int, bar *barrier, ringLen int) bool {
-	if bar == nil {
-		floodShardFreeRunning(group, rounds, ringLen)
-		return false
-	}
+// after the same round with every port drained.
+func floodShard(group []*node, rounds int, bar *barrier) bool {
 	for r := 1; r <= rounds; r++ {
 		// Phase 1: cross-shard sends. cur buffers are frozen for the
 		// whole delivery phase, mirroring "every node sends what it
@@ -123,79 +110,4 @@ func floodShard(group []*node, rounds int, bar *barrier, ringLen int) bool {
 		}
 	}
 	return false
-}
-
-// floodShardFreeRunning is floodShard without the barrier. The shard's
-// round counter r is the epoch that keeps buffer reuse safe: the batch
-// accumulated in round r lives in ring[r%ringLen] with ringLen =
-// portBuffer+2, so a slot is rewound exactly ringLen rounds after it
-// was filled — and sent one round after filling. Two facts make the
-// slot cold by then. First, when every phase-1 send of round r has been
-// accepted, each port's channel holds at most portBuffer batches, all
-// from rounds > r−portBuffer, so the batch of round r−portBuffer has
-// been dequeued. Second, a dequeue only proves the receiver *took* the
-// batch, not that it finished merging it — but receives are strictly
-// round-ordered per shard, so dequeuing round r−portBuffer means every
-// batch of earlier rounds has been fully merged. The slot rewound in
-// round r was sent in round r−ringLen+1 = r−portBuffer−1, one round
-// earlier still, so no reader can touch it. Free-running mode therefore
-// reuses its buffers just like lockstep mode, instead of allocating a
-// fresh batch per node per round; the pre-ring cost is visible in
-// BENCH_dist.json's sharded-free-running rows.
-//
-// Round 0 is the seeded cur batch: it is sent in round 1 and only ever
-// rewound by node.seed, which runs strictly between runs (run joins
-// every shard goroutine and drains every port before returning).
-func floodShardFreeRunning(group []*node, rounds, ringLen int) {
-	for _, nd := range group {
-		if cap(nd.ring) < ringLen {
-			nd.ring = make([]batch, ringLen)
-		}
-		nd.ring = nd.ring[:ringLen]
-	}
-	sendBuf := func(nd *node, r int) batch {
-		if r == 1 {
-			return nd.cur
-		}
-		return nd.ring[(r-1)%ringLen]
-	}
-	for r := 1; r <= rounds; r++ {
-		// Phase 1: cross-shard sends of last round's discoveries.
-		for _, nd := range group {
-			buf := sendBuf(nd, r)
-			for _, port := range nd.out {
-				port <- buf
-			}
-		}
-		// Phase 2: rewind this round's ring slot — cold by the epoch
-		// argument above — as the accumulation buffer.
-		for _, nd := range group {
-			nd.next = nd.ring[r%ringLen][:0]
-		}
-		// Phase 3: same-shard direct merges, then cross-shard receives.
-		for _, nd := range group {
-			buf := sendBuf(nd, r)
-			for _, nb := range nd.local {
-				nb.merge(buf, r)
-			}
-		}
-		for _, nd := range group {
-			for _, port := range nd.in {
-				nd.merge(<-port, r)
-			}
-		}
-		// Phase 4: store the (possibly regrown) accumulation buffer back
-		// into its epoch slot; it is sent in round r+1.
-		for _, nd := range group {
-			nd.ring[r%ringLen] = nd.next
-		}
-	}
-	// Drop the alias between next and the last epoch slot: a later run's
-	// seed would otherwise adopt a ring slot as its frozen round-0
-	// batch, and the slot's scheduled rewind would corrupt it mid-run.
-	// cur needs no such care — this layout never points it into the
-	// ring, so it stays the node's dedicated seed buffer across runs.
-	for _, nd := range group {
-		nd.next = nil
-	}
 }

@@ -2,7 +2,7 @@ package dist_test
 
 // Edge-case tests for the sharded scheduler. The catalog-wide
 // verdict-identity property lives in dist_test.go (checkAllRunners runs
-// sharded mode alongside every other strategy); this file pins down the
+// several shard counts and partitioners); this file pins down the
 // degenerate configurations where the shard partition itself could go
 // wrong: more shards than nodes, a single shard (no channels at all),
 // isolated nodes, empty port sets, and panic recovery inside a shard
@@ -31,7 +31,7 @@ func TestShardedMoreShardsThanNodes(t *testing.T) {
 	v := scheme.Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{5, 6, 99} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -47,7 +47,7 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	p := core.RandomProof(in, 6, 3)
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: 1})
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	// Collect in the same degenerate mode.
 	center := in.G.Nodes()[5]
 	viewsEqual(t, "single-shard collect",
-		dist.CollectWith(in, p, center, 2, dist.Options{Sharded: true, Shards: 1}),
+		dist.CollectWith(in, p, center, 2, dist.Options{Shards: 1}),
 		core.BuildView(in, p, center, 2))
 }
 
@@ -79,7 +79,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}}
 	want := core.Check(in, p, v)
 	for _, shards := range []int{1, 2, 3, 6, 10} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -92,7 +92,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}
 	iso := core.NewInstance(b2.Graph())
 	want = core.Check(iso, nil, v)
-	got, err := dist.CheckWith(iso, nil, v, dist.Options{Sharded: true, Shards: 4})
+	got, err := dist.CheckWith(iso, nil, v, dist.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestShardedDisconnectedAcrossShardBoundary(t *testing.T) {
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{2, 3, 5} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -127,7 +127,7 @@ func TestShardedRecoversVerifierPanic(t *testing.T) {
 		}
 		return true
 	}}
-	if _, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Sharded: true, Shards: 3}); err == nil {
+	if _, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Shards: 3}); err == nil {
 		t.Error("want panic surfaced as error")
 	}
 }
@@ -143,7 +143,7 @@ func TestShardedNetworkReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	nw, err := dist.NewNetwork(in, dist.Options{Sharded: true, Shards: 3})
+	nw, err := dist.NewNetwork(in, dist.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestShardedNetworkReuse(t *testing.T) {
 
 // TestDecideOnlySubset: carriers flood but never decide — the result
 // contains exactly the listed nodes, their verdicts match the full
-// reference, and a verifier that panics at a carrier never fires. Both
-// execution layouts are covered.
+// reference, and a verifier that panics at a carrier never fires —
+// at the default shard count, three shards, and one node per shard.
 func TestDecideOnlySubset(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(11))
 	scheme := lcp.OddNScheme()
@@ -190,8 +190,8 @@ func TestDecideOnlySubset(t *testing.T) {
 	want := core.Check(in, p, scheme.Verifier())
 	for _, opt := range []dist.Options{
 		{DecideOnly: deciders},
-		{DecideOnly: deciders, Sharded: true, Shards: 3},
-		{DecideOnly: deciders, Sharded: true, FreeRunning: true},
+		{DecideOnly: deciders, Shards: 3},
+		{DecideOnly: deciders, Shards: in.G.N()}, // one node per shard
 	} {
 		got, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
@@ -223,10 +223,10 @@ func TestShardedInvalidPartitionerRejected(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(6))
 	v := lcp.OddNScheme().Verifier()
 	for name, bad := range map[string]dist.Options{
-		"short":        {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1}}},
-		"out-of-range": {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1, 2, 3, 0, 1}}},
-		"negative":     {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, -1, 2, 0, 1, 2}}},
-		"nil":          {Sharded: true, Shards: 3, Partitioner: badPartitioner{}},
+		"short":        {Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1}}},
+		"out-of-range": {Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1, 2, 3, 0, 1}}},
+		"negative":     {Shards: 3, Partitioner: badPartitioner{assign: []int{0, -1, 2, 0, 1, 2}}},
+		"nil":          {Shards: 3, Partitioner: badPartitioner{}},
 	} {
 		if _, err := dist.CheckWith(in, core.Proof{}, v, bad); err == nil {
 			t.Errorf("%s: CheckWith accepted an invalid assignment", name)
@@ -239,7 +239,7 @@ func TestShardedInvalidPartitionerRejected(t *testing.T) {
 
 // TestShardedArbitraryAssignment: a partitioner may scatter nodes
 // across shards in any pattern — interleaved round-robin included —
-// and verdicts still match the reference, lockstep and free-running.
+// and verdicts still match the reference.
 func TestShardedArbitraryAssignment(t *testing.T) {
 	in := core.NewInstance(lcp.Grid(4, 5))
 	scheme := lcp.OddNScheme() // 20 nodes: even, rejects somewhere
@@ -250,16 +250,11 @@ func TestShardedArbitraryAssignment(t *testing.T) {
 	for i := range roundRobin {
 		roundRobin[i] = i % 3
 	}
-	for _, opt := range []dist.Options{
-		{Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: roundRobin}},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: badPartitioner{assign: roundRobin}},
-	} {
-		got, err := dist.CheckWith(in, p, v, opt)
-		if err != nil {
-			t.Fatalf("free-running=%v: %v", opt.FreeRunning, err)
-		}
-		resultsEqual(t, fmt.Sprintf("round-robin free-running=%v", opt.FreeRunning), got, want)
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: roundRobin}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	resultsEqual(t, "round-robin", got, want)
 }
 
 // TestShardedEmptyShardAllowed: an assignment that leaves a shard with
@@ -271,55 +266,11 @@ func TestShardedEmptyShardAllowed(t *testing.T) {
 	want := core.Check(in, p, v)
 	// Shard 1 of 3 owns nothing.
 	lopsided := []int{0, 0, 2, 2, 0, 2}
-	for _, freeRunning := range []bool{false, true} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{
-			Sharded: true, Shards: 3, FreeRunning: freeRunning,
-			Partitioner: badPartitioner{assign: lopsided},
-		})
-		if err != nil {
-			t.Fatalf("free-running=%v: %v", freeRunning, err)
-		}
-		resultsEqual(t, fmt.Sprintf("empty-shard free-running=%v", freeRunning), got, want)
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: lopsided}})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestShardedFreeRunningBatchRing: the free-running sharded layout
-// reuses round batches through the epoch ring. Long floods (radius well
-// past the ring length) over a reused Network are the case where a
-// stale slot would resurface as message corruption; verdicts and views
-// must stay exact across many back-to-back runs, at several port
-// buffer depths (which set the ring length).
-func TestShardedFreeRunningBatchRing(t *testing.T) {
-	g := lcp.RandomConnected(24, 0.12, 9)
-	in := core.NewInstance(g)
-	v := core.VerifierFunc{R: 9, F: func(w *core.View) bool {
-		// Radius 9 ≫ ring length; accept iff the ball saw ≥ 12 nodes, so
-		// any lost or duplicated record flips a verdict.
-		return w.G.N() >= 12
-	}}
-	for _, portBuf := range []int{0, 1, 4} {
-		opt := dist.Options{Sharded: true, Shards: 4, FreeRunning: true, PortBuffer: portBuf}
-		nw, err := dist.NewNetwork(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			p := core.RandomProof(in, 4, int64(i))
-			want := core.Check(in, p, v)
-			got, err := nw.Check(p, v)
-			if err != nil {
-				t.Fatalf("portBuf=%d run %d: %v", portBuf, i, err)
-			}
-			resultsEqual(t, fmt.Sprintf("ring portBuf=%d run %d", portBuf, i), got, want)
-		}
-		nw.Close()
-		// Views assembled under the ring match the sequential reference.
-		p := core.RandomProof(in, 4, 99)
-		center := in.G.Nodes()[7]
-		viewsEqual(t, fmt.Sprintf("ring collect portBuf=%d", portBuf),
-			dist.CollectWith(in, p, center, 6, opt),
-			core.BuildView(in, p, center, 6))
-	}
+	resultsEqual(t, "empty-shard", got, want)
 }
 
 // TestShardedPartitionersAcrossTopologies: the three partitioners are
@@ -343,15 +294,11 @@ func TestShardedPartitionersAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, freeRunning := range []bool{false, true} {
-				got, err := dist.CheckWith(in, p, v, dist.Options{
-					Sharded: true, Shards: 4, FreeRunning: freeRunning, Partitioner: pt,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s free-running=%v: %v", name, pname, freeRunning, err)
-				}
-				resultsEqual(t, fmt.Sprintf("%s/%s free-running=%v", name, pname, freeRunning), got, want)
+			got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 4, Partitioner: pt})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, pname, err)
 			}
+			resultsEqual(t, fmt.Sprintf("%s/%s", name, pname), got, want)
 		}
 	}
 }
@@ -369,7 +316,7 @@ func TestShardedRadiusZero(t *testing.T) {
 		return s.Len() > 0 && s.Bit(0)
 	}}
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: 3})
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@
 //     of one check always flood concurrently, and because dist.Network
 //     draws wirings from a pool instead of serializing on a mutex,
 //     concurrent checks of the same instance overlap too. Each
-//     underlying runtime can itself run goroutine-per-node or sharded
-//     (Options.Dist.Sharded).
+//     underlying runtime batches its halo onto its own scheduler shards
+//     (Options.Dist.Shards).
 //
 // Verdicts are identical to core.Check on every path; the property
 // tests sweep the whole catalog, including tampered and truncated

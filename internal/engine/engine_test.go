@@ -110,11 +110,11 @@ func TestEngineWorkerShardConfigurations(t *testing.T) {
 		{Workers: 2, Shards: 7},
 		{Shards: 16}, // one node per shard
 		{Shards: 99}, // more shards than nodes
-		{Shards: 3, Dist: dist.Options{FreeRunning: true}},
+		{Shards: 2, Dist: dist.Options{Shards: 16}}, // one node per scheduler shard
 		{Shards: 3, Partitioner: partition.BFSChunks{}},
-		{Shards: 4, Partitioner: partition.GreedyBalanced{}, Dist: dist.Options{Sharded: true, Shards: 2}},
+		{Shards: 4, Partitioner: partition.GreedyBalanced{}, Dist: dist.Options{Shards: 2}},
 		{Shards: 16, Partitioner: partition.BFSChunks{}}, // one node per shard, BFS order
-		{Shards: 3, Partitioner: partition.BFSChunks{}, Dist: dist.Options{Sharded: true, FreeRunning: true, Partitioner: partition.BFSChunks{}}},
+		{Shards: 3, Partitioner: partition.BFSChunks{}, Dist: dist.Options{Partitioner: partition.BFSChunks{}}},
 	} {
 		e := engine.New(in, opt)
 		checkAllPaths(t, fmt.Sprintf("opts=%+v", opt), e, in, p, v)
@@ -380,7 +380,7 @@ func TestEngineDistributedHaloNodesNeverDecide(t *testing.T) {
 	want := core.Check(in, core.Proof{}, v)
 	for _, opt := range []engine.Options{
 		{Shards: 3},
-		{Shards: 3, Dist: dist.Options{Sharded: true, Shards: 2}},
+		{Shards: 3, Dist: dist.Options{Shards: 2}},
 	} {
 		res, err := engine.New(in, opt).CheckDistributed(core.Proof{}, v)
 		if err != nil {

@@ -14,13 +14,13 @@ import (
 // The sharded message-passing path. A single dist runtime spans the
 // whole graph; for large instances the engine instead spans several
 // reusable runtimes, each owning a group of nodes chosen by the
-// configured partitioner (and each free to run goroutine-per-node or
-// the sharded scheduler, per Options.Dist). A shard's runtime is wired
-// over the group's radius-r halo — every node within distance r of an
-// owned node — so flooding inside the shard assembles exactly the
-// views the owned nodes would see in the full graph (balls nest:
-// ball(v, r) of an owned v lies entirely inside the halo, and shortest
-// paths from v stay in the ball). Only owned verdicts are reported;
+// configured partitioner (each with its own scheduler shards, per
+// Options.Dist). A shard's runtime is wired over the group's radius-r
+// halo — every node within distance r of an owned node — so flooding
+// inside the shard assembles exactly the views the owned nodes would
+// see in the full graph (balls nest: ball(v, r) of an owned v lies
+// entirely inside the halo, and shortest paths from v stay in the
+// ball). Only owned verdicts are reported;
 // halo-only nodes exist to carry messages. The halo is where the
 // partitioner earns its keep: carriers are duplicated flooding work,
 // one copy per shard whose boundary they pad, and a topologically

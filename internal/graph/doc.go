@@ -7,8 +7,7 @@
 // exactly as the paper assumes; the identifier space being larger than n
 // is essential for several constructions (e.g. the cycles C(a,b) of §5.3
 // use identifiers up to ~2n²). Immutability makes graphs safe to share
-// across the verifier runtimes of internal/dist — goroutine-per-node or
-// sharded — without locks.
+// across the shard goroutines of internal/dist without locks.
 //
 // The paper's view operations map onto this package directly:
 //

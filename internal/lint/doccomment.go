@@ -4,9 +4,9 @@ import (
 	"strings"
 )
 
-// DocComment absorbs cmd/doclint: every package (commands included) must
-// carry a package doc comment on at least one of its non-test files. The
-// package comments are the paper-to-code map (docs/ARCHITECTURE.md) — each
+// DocComment flags undocumented packages: every package (commands
+// included) must carry a package doc comment on at least one of its
+// non-test files. The package comments are the paper-to-code map (docs/ARCHITECTURE.md) — each
 // states which definitions of Göös & Suomela (PODC 2011) the package
 // implements — so a missing one is a documentation regression, not a style
 // nit.

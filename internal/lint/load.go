@@ -231,8 +231,8 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 
 // ModulePackageDirs walks the module tree and returns every directory that
 // holds at least one non-test Go file, skipping testdata and hidden
-// directories. It is what TestLintCleanRepo and the doclint wrapper use in
-// place of `go list -f '{{.Dir}}' ./...`.
+// directories. It is what TestLintCleanRepo uses in place of
+// `go list -f '{{.Dir}}' ./...`.
 func ModulePackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {

@@ -63,7 +63,7 @@ func BenchmarkPartitioners(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/%s/rounds", fam.name, name), func(b *testing.B) {
 				b.ReportAllocs()
-				opt := dist.Options{Sharded: true, Shards: benchShards, Partitioner: pt}
+				opt := dist.Options{Shards: benchShards, Partitioner: pt}
 				for i := 0; i < b.N; i++ {
 					if _, err := dist.CheckWith(in, p, v, opt); err != nil {
 						b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lcp"
@@ -99,9 +100,8 @@ func TestServeBackendGuards(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(8))
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 	for name, req := range map[string]map[string]any{
-		"unknown backend":          {"instance": id, "backend": "quantum"},
-		"backend plus distributed": {"instance": id, "backend": "engine", "distributed": true},
-		"partitioner on engine":    {"instance": id, "backend": "engine", "partitioner": "bfs"},
+		"unknown backend":       {"instance": id, "backend": "quantum"},
+		"partitioner on engine": {"instance": id, "backend": "engine", "partitioner": "bfs"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/check", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -128,6 +128,25 @@ func TestServeBackendGuards(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dist+bfs: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeRejectsRemovedDistributedField: the old "distributed" alias
+// for "backend": "engine-dist" is gone, and a body still sending it
+// fails loudly as an unknown field instead of silently running on the
+// default backend.
+func TestServeRejectsRemovedDistributedField(t *testing.T) {
+	ts := newTestServer(t)
+	in := lcp.NewInstance(lcp.Cycle(8))
+	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
+	for _, endpoint := range []string{"/check", "/check/batch"} {
+		resp, body := postJSON(t, ts.URL+endpoint, map[string]any{"instance": id, "distributed": true})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", endpoint, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), `\"distributed\"`) {
+			t.Fatalf("%s: error does not name the field: %s", endpoint, body)
+		}
 	}
 }
 

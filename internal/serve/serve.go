@@ -128,8 +128,8 @@ var latencyBoundsSeconds = obs.LatencyBoundsSeconds()
 
 // New builds a server over the given scheme registry (normally
 // lcp.BuiltinSchemes()). The base config applies to every instance the
-// server wires; per-request options ("backend", "distributed",
-// "partitioner") override it through the same config.Set resolver the
+// server wires; per-request options ("backend", "partitioner",
+// "batch_columns") override it through the same config.Set resolver the
 // lcpserve flags go through.
 func New(schemes map[string]core.Scheme, base config.Config) *Server {
 	return NewWith(schemes, base, Config{})
@@ -365,9 +365,6 @@ type checkRequest struct {
 	// semantics) are identical on the command line and on the wire.
 	// Empty means the server's configured default backend.
 	Backend string `json:"backend,omitempty"`
-	// Distributed is the legacy alias for Backend: true selects
-	// "engine-dist". Set either Distributed or Backend, not both.
-	Distributed bool `json:"distributed,omitempty"`
 	// Partitioner overrides how the distributed backends assign nodes
 	// to shards for this request: "contiguous", "bfs", or "greedy" (see
 	// internal/partition). Requires a distributed backend. Empty means
@@ -393,8 +390,8 @@ type checkResponse struct {
 	ProofBits int   `json:"proof_bits"`
 	Rejectors []int `json:"rejectors,omitempty"`
 	// Backend reports the execution path that produced the verdict —
-	// the resolved value of the request's "backend"/"distributed"
-	// options over the server default.
+	// the resolved value of the request's "backend" option over the
+	// server default.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -470,9 +467,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 	if req.StopOnReject && endpoint != "/check/stream" {
 		return bad("stop_on_reject")
 	}
-	if req.Distributed && (endpoint == "/prove" || endpoint == "/check/stream") {
-		return bad("distributed")
-	}
 	if req.Backend != "" {
 		if endpoint == "/prove" {
 			return bad("backend")
@@ -483,10 +477,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 		if endpoint == "/check/stream" &&
 			req.Backend != string(config.BackendCore) && req.Backend != string(config.BackendEngine) {
 			return bad("backend")
-		}
-		if req.Distributed {
-			writeError(w, http.StatusBadRequest, "set either %q or %q, not both", "backend", "distributed")
-			return false
 		}
 	}
 	if req.Partitioner != "" && (endpoint == "/prove" || endpoint == "/check/stream") {
@@ -599,18 +589,13 @@ func (s *Server) resolve(req *checkRequest) (*instanceEntry, core.Scheme, error)
 
 // requestConfig resolves one request's execution configuration: the
 // server's base config with the request-level overrides applied through
-// config.Set — the same resolver the lcpserve flags feed, so "backend",
-// "distributed" and "partitioner" mean exactly the same thing on the
-// wire as on the command line.
+// config.Set — the same resolver the lcpserve flags feed, so "backend"
+// and "partitioner" mean exactly the same thing on the wire as on the
+// command line.
 func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 	cfg := s.base
 	if req.Backend != "" {
 		if err := cfg.Set("backend", req.Backend); err != nil {
-			return cfg, err
-		}
-	}
-	if req.Distributed {
-		if err := cfg.Set("distributed", "true"); err != nil {
 			return cfg, err
 		}
 	}
@@ -703,12 +688,7 @@ func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core
 		}
 	case config.BackendDist:
 		d := cfg.DistOptions()
-		opts = append(opts,
-			lcp.WithSharded(d.Sharded),
-			lcp.WithShards(d.Shards),
-			lcp.WithFreeRunning(d.FreeRunning),
-			lcp.WithPartitioner(d.Partitioner),
-		)
+		opts = append(opts, lcp.WithShards(d.Shards), lcp.WithPartitioner(d.Partitioner))
 	}
 	return lcp.NewChecker(entry.Doc.Instance, opts...)
 }

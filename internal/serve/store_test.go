@@ -166,7 +166,7 @@ func TestServeStats(t *testing.T) {
 
 // TestServePartitionerOption: distributed checks accept a per-request
 // partitioner override, verdicts agree across all of them, junk names
-// are rejected, and the option without distributed=true is a client
+// are rejected, and the option on a shared-memory backend is a client
 // error.
 func TestServePartitionerOption(t *testing.T) {
 	ts := newTestServer(t)
@@ -180,7 +180,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	want := core.Check(in, p, scheme.Verifier()).Accepted()
 	for _, name := range []string{"", "contiguous", "bfs", "greedy"} {
-		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "distributed": true}
+		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "backend": "engine-dist"}
 		if name != "" {
 			reqBody["partitioner"] = name
 		}
@@ -201,7 +201,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	// Batch path takes the override too.
 	resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
-		"instance": id, "distributed": true, "partitioner": "bfs",
+		"instance": id, "backend": "engine-dist", "partitioner": "bfs",
 		"proofs": []map[string]string{proofWire(p), proofWire(core.FlipBit(p, 1))},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -209,9 +209,9 @@ func TestServePartitionerOption(t *testing.T) {
 	}
 
 	for name, reqBody := range map[string]map[string]any{
-		"junk-name":       {"instance": id, "proof": proofWire(p), "distributed": true, "partitioner": "quantum"},
+		"junk-name":       {"instance": id, "proof": proofWire(p), "backend": "engine-dist", "partitioner": "quantum"},
 		"not-distributed": {"instance": id, "proof": proofWire(p), "partitioner": "bfs"},
-		"on-prove":        {"instance": id, "distributed": true, "partitioner": "bfs"},
+		"on-prove":        {"instance": id, "partitioner": "bfs"},
 	} {
 		url := ts.URL + "/check"
 		if name == "on-prove" {
@@ -245,7 +245,7 @@ func TestServePartitionerEnginesAmortize(t *testing.T) {
 			wantAccept = core.Check(in, proof, scheme.Verifier()).Accepted()
 		}
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
-			"instance": id, "proof": proofWire(proof), "distributed": true, "partitioner": "greedy",
+			"instance": id, "proof": proofWire(proof), "backend": "engine-dist", "partitioner": "greedy",
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)

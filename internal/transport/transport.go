@@ -19,8 +19,8 @@
 // peer (Exchange — the delivery barrier), merge, then close the round
 // (Barrier — the reuse barrier that licenses buffer rewinding). TCP
 // needs no explicit barrier: frames are copied at staging time and
-// per-peer message counting bounds round skew by one, exactly the
-// α-synchronization argument of the free-running scheduler.
+// per-peer message counting bounds round skew by one, exactly
+// Awerbuch's α-synchronizer argument.
 package transport
 
 import (
