@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
+.PHONY: check build fmt vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
 
-check: build vet lint test fuzz-smoke scale-smoke
+check: build fmt vet lint test fuzz-smoke scale-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any tracked Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -51,7 +55,7 @@ bench-smoke:
 # that.
 load-smoke:
 	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8
-	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend engine-dist -partitioner bfs
+	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs
 
 # fuzz-smoke runs every native fuzz target for a short budget (one
 # target per invocation — the go tool's rule). The seed corpora under
@@ -72,7 +76,7 @@ fuzz-smoke:
 # re-proved on every check, not only in the recorded BENCH_sweep.json.
 # Seconds per cell; the full grid (plus the n=10^6 tier) is `make sweep`.
 scale-smoke:
-	$(GO) run ./cmd/lcpsweep -n 100000 -families power-law -backends core,engine,dist,engine-dist
+	$(GO) run ./cmd/lcpsweep -n 100000 -families power-law -backends core,engine,dist
 
 # transport-smoke is the multi-process scale-out check: cmd/lcpfleet
 # spawns two real worker subprocesses (its own binary in -as-worker
@@ -108,4 +112,4 @@ obs-smoke:
 	$(GO) test -run 'TestServeTrace|TestServeMetrics|TestServeRequestLogging' ./internal/serve/
 	$(GO) test -run 'TestWriteProm|TestTrace' ./internal/obs/
 	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist
-	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend engine-dist -partitioner bfs
+	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs

@@ -49,7 +49,7 @@ func benchExperiment(b *testing.B, exp lcp.Experiment, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !lcp.Check(in, p, v).Accepted() {
+		if !checkCore(b, in, p, v).Accepted() {
 			b.Fatalf("%s: rejected", exp.ID)
 		}
 	}
@@ -281,7 +281,7 @@ func BenchmarkXM1M2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !lcp.Check(in, p, v).Accepted() {
+		if !checkCore(b, in, p, v).Accepted() {
 			b.Fatal("rejected")
 		}
 	}
@@ -300,7 +300,7 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 	v := lcp.OddNScheme().Verifier()
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, proof, v).Accepted() {
+			if !checkCore(b, in, proof, v).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -347,9 +347,7 @@ func BenchmarkEngineAmortized(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, p := range proofs {
-				if lcp.Check(in, p, v) == nil {
-					b.Fatal("nil result")
-				}
+				checkCore(b, in, p, v)
 			}
 		}
 		perProof(b, time.Since(start))
@@ -484,7 +482,7 @@ func BenchmarkAblationSymmetricWitness(b *testing.B) {
 	}
 	b.Run("witnessed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, pw, witnessed.Verifier()).Accepted() {
+			if !checkCore(b, in, pw, witnessed.Verifier()).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -492,7 +490,7 @@ func BenchmarkAblationSymmetricWitness(b *testing.B) {
 	})
 	b.Run("unwitnessed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, pu, unwitnessed.Verifier()).Accepted() {
+			if !checkCore(b, in, pu, unwitnessed.Verifier()).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -552,7 +550,7 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 	v := scheme.Verifier()
 	b.Run("sequential-bfs-views", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, proof, v).Accepted() {
+			if !checkCore(b, in, proof, v).Accepted() {
 				b.Fatal("rejected")
 			}
 		}

@@ -1,10 +1,10 @@
 package lcp
 
 // The unified verification façade. The paper studies exactly one
-// object — a constant-radius local verifier run on every node — but the
-// library grew four ways to execute it: the sequential reference
-// (core.Check), the message-passing LOCAL runtime (dist), the amortized
-// cached-view engine, and the engine's halo-sharded distributed path.
+// object — a constant-radius local verifier run on every node — and the
+// library executes it four ways: the sequential reference (core.Check),
+// the in-process message-passing LOCAL runtime (dist), the amortized
+// cached-view engine, and the multi-process TCP fan-out (remote).
 // Checker is the one front door: NewChecker compiles functional options
 // into the shared internal config.Config (the same object lcpserve
 // flags and serve's HTTP request options resolve into), every backend
@@ -35,18 +35,14 @@ const (
 	// BackendCore: the sequential reference runner — one BFS view per
 	// node per proof, no caching, no concurrency.
 	BackendCore = string(config.BackendCore)
-	// BackendDist: the message-passing LOCAL runtime — node automata
-	// flood radius-r balls over ports; WithShards and WithPartitioner
-	// tune its scheduler.
+	// BackendDist: the in-process message-passing LOCAL runtime — node
+	// automata flood radius-r balls over ports; WithShards and
+	// WithPartitioner tune its scheduler.
 	BackendDist = string(config.BackendDist)
 	// BackendEngine: the amortized engine — radius-r view skeletons
 	// cached per instance, checks served by a WithWorkers-bounded pool.
 	// This is the default backend.
 	BackendEngine = string(config.BackendEngine)
-	// BackendEngineDist: the distributed engine — the instance is cut
-	// into WithRuntimes radius-r halos (by WithPartitioner), each owned
-	// by a reusable message-passing runtime.
-	BackendEngineDist = string(config.BackendEngineDist)
 	// BackendDistTCP: the multi-process scale-out — the instance is
 	// partitioned across external lcpworker processes (WithWorkerAddrs),
 	// each flooding its shard over TCP, with this process acting as the
@@ -59,7 +55,8 @@ const (
 // Checker is the unified verification interface over one instance and
 // one verifier: construct it once with NewChecker, then fire proofs at
 // it. Implementations are safe for concurrent use and amortize whatever
-// their backend can (cached views, prewired runtimes) across calls.
+// their backend can (cached views, a prewired network, a registered
+// worker fleet) across calls.
 //
 // Context cancellation is uniform but backend-granular: the core
 // backend aborts between nodes, the engine backend between proofs of a
@@ -73,7 +70,7 @@ type Checker interface {
 	// Check verifies one proof on every node.
 	Check(ctx context.Context, p Proof) (*Report, error)
 	// CheckBatch verifies many proofs in order, one Report per proof.
-	// On the distributed backends the proofs run concurrently on a
+	// On the dist backend the proofs run concurrently on a
 	// bounded pool. The first failure aborts the batch with a
 	// *BatchError; no partial reports are returned.
 	CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, error)
@@ -99,8 +96,7 @@ type Report struct {
 	// Stages is the per-stage breakdown of Elapsed, in the order the
 	// stages first ran. Which stages appear depends on the backend
 	// ("core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
-	// "engine.views"/"engine.verify"; "engine.partition"/"engine.wire"/
-	// "engine.run" plus the dist stages of every halo runtime). Stages
+	// "engine.views"/"engine.verify"; "remote.*" on dist-tcp). Stages
 	// recorded by concurrent workers sum their wall time, so a stage's
 	// Total can exceed Elapsed; Count says how many observations merged.
 	Stages []Stage
@@ -183,7 +179,7 @@ func (cc *checkerConfig) fail(err error) {
 type CheckerOption func(*checkerConfig)
 
 // WithBackend selects the execution path: BackendCore, BackendDist,
-// BackendEngine (the default), or BackendEngineDist.
+// BackendEngine (the default), or BackendDistTCP.
 func WithBackend(name string) CheckerOption {
 	return func(cc *checkerConfig) {
 		b, err := config.ParseBackend(name)
@@ -220,30 +216,23 @@ func WithWorkerAddrs(addrs ...string) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.WorkerAddrs = addrs }
 }
 
-// WithWorkers bounds the engine backends' shared-memory worker pool
+// WithWorkers bounds the engine backend's shared-memory worker pool
 // (0 = GOMAXPROCS).
 func WithWorkers(n int) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Workers = n }
 }
 
-// WithRuntimes sets how many message-passing runtimes the engine-dist
-// backend spans, each owning one partitioner group's radius-r halo
-// (0 = 1).
-func WithRuntimes(n int) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Runtimes = n }
-}
-
-// WithShards sets the scheduler goroutine count per message-passing
-// runtime (0 = GOMAXPROCS). A count at or above the node count runs one
-// node automaton per goroutine, the paper's network of independent
+// WithShards sets the dist backend's scheduler goroutine count
+// (0 = GOMAXPROCS). A count at or above the node count runs one node
+// automaton per goroutine, the paper's network of independent
 // processors.
 func WithShards(n int) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist.Shards = n }
+	return func(cc *checkerConfig) { cc.cfg.Shards = n }
 }
 
-// WithPartitioner sets the node→shard assignment policy, applied at
-// both levels like lcpserve's -partitioner flag: the engine-dist halo
-// cut and the sharded scheduler layout inside each runtime.
+// WithPartitioner sets the node→shard assignment policy of the
+// message-passing backends: the dist scheduler's shard layout and the
+// dist-tcp worker cut.
 func WithPartitioner(p Partitioner) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Partitioner = p }
 }
@@ -266,10 +255,10 @@ func WithBatchColumns(on bool) CheckerOption {
 	}
 }
 
-// WithEngine backs the engine and engine-dist backends with an existing
-// Engine instead of wiring a private one, so several checkers (one per
-// scheme, say) share one set of cached views and runtimes. The engine
-// must serve the same instance the checker is built for.
+// WithEngine backs the engine backend with an existing Engine instead
+// of wiring a private one, so several checkers (one per scheme, say)
+// share one set of cached views. The engine must serve the same
+// instance the checker is built for.
 func WithEngine(e *Engine) CheckerOption {
 	return func(cc *checkerConfig) { cc.engine = e }
 }
@@ -282,7 +271,7 @@ type checker struct {
 	v          core.Verifier
 	cfg        config.Config
 	schemeName string         // dist-tcp backend: resolved on the workers
-	eng        *engine.Engine // engine backends
+	eng        *engine.Engine // engine backend
 
 	mu    sync.Mutex
 	net   *dist.Network       // dist backend, wired lazily on first check
@@ -295,8 +284,8 @@ var checkerSeq atomic.Uint64
 
 // NewChecker compiles the options into a Checker for the instance. The
 // verifier is required (WithScheme or WithVerifier); everything else
-// defaults: engine backend, GOMAXPROCS workers, one runtime, contiguous
-// partitioner, GOMAXPROCS scheduler shards.
+// defaults: engine backend, GOMAXPROCS workers, contiguous partitioner,
+// GOMAXPROCS scheduler shards.
 func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("lcp: nil instance")
@@ -312,18 +301,18 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 		return nil, fmt.Errorf("lcp: checker needs a verifier: pass WithScheme or WithVerifier")
 	}
 	c := &checker{in: in, v: cc.verifier, cfg: cc.cfg, schemeName: cc.schemeName}
+	if cc.engine != nil && c.backend() != config.BackendEngine {
+		return nil, fmt.Errorf("lcp: WithEngine requires the engine backend, not %q", c.backend())
+	}
 	switch c.backend() {
 	case config.BackendDistTCP:
-		if cc.engine != nil {
-			return nil, fmt.Errorf("lcp: WithEngine requires the engine or engine-dist backend, not %q", c.backend())
-		}
 		if len(c.cfg.WorkerAddrs) == 0 {
 			return nil, fmt.Errorf("lcp: %v", c.cfg.Validate())
 		}
 		if c.schemeName == "" {
 			return nil, fmt.Errorf("lcp: backend %q needs WithScheme (workers resolve the scheme by name; a bare WithVerifier cannot travel)", c.backend())
 		}
-	case config.BackendEngine, config.BackendEngineDist:
+	case config.BackendEngine:
 		if cc.engine != nil {
 			if cc.engine.Instance() != in {
 				return nil, fmt.Errorf("lcp: WithEngine: the engine serves a different instance")
@@ -331,10 +320,6 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 			c.eng = cc.engine
 		} else {
 			c.eng = engine.New(in, c.cfg.EngineOptions())
-		}
-	default:
-		if cc.engine != nil {
-			return nil, fmt.Errorf("lcp: WithEngine requires the engine or engine-dist backend, not %q", c.backend())
 		}
 	}
 	return c, nil
@@ -439,8 +424,6 @@ func (c *checker) Check(ctx context.Context, p Proof) (*Report, error) {
 		}
 	case config.BackendEngine:
 		res, err = c.eng.CheckProofCtx(ctx, p, c.v)
-	case config.BackendEngineDist:
-		res, err = c.eng.CheckDistributedCtx(ctx, p, c.v)
 	case config.BackendDistTCP:
 		var coord *remote.Coordinator
 		coord, err = c.coordinator(ctx)
@@ -499,9 +482,9 @@ func (c *checker) recordStages(tl *obs.Timeline) {
 
 func (c *checker) CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, error) {
 	switch c.backend() {
-	case config.BackendDist, config.BackendEngineDist:
-		// The round protocol leaves cores idle per proof; the runtimes
-		// hand every concurrent caller its own wiring, so a batch
+	case config.BackendDist:
+		// The round protocol leaves cores idle per proof; the runtime
+		// hands every concurrent caller its own wiring, so a batch
 		// saturates the machine on a bounded pool instead of flooding
 		// one proof at a time.
 		return c.checkBatchConcurrent(ctx, proofs)

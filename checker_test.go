@@ -81,10 +81,6 @@ func backendMatrix() []backendCase {
 		{"engine-batch-loop", []lcp.CheckerOption{
 			lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3), lcp.WithBatchColumns(false),
 		}},
-		{"engine-dist", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendEngineDist), lcp.WithRuntimes(3),
-			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
-		}},
 		// The multi-process path: real lcpworker fleet on loopback TCP,
 		// the checker acting as fan-out coordinator. Same matrix, same
 		// reference — the verdicts cross process boundaries and come
@@ -196,7 +192,7 @@ func TestCheckerReportBackendLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{lcp.BackendCore, lcp.BackendDist, lcp.BackendEngine, lcp.BackendEngineDist} {
+	for _, name := range []string{lcp.BackendCore, lcp.BackendDist, lcp.BackendEngine} {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(name))
 		if err != nil {
 			t.Fatal(err)
@@ -238,8 +234,11 @@ func TestCheckerDefaultsAndErrors(t *testing.T) {
 	if _, err := lcp.NewChecker(in); err == nil {
 		t.Fatal("missing verifier accepted")
 	}
-	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend("warp-drive")); err == nil {
-		t.Fatal("unknown backend accepted")
+	// "engine-dist" was a backend once; it is now as unknown as any.
+	for _, name := range []string{"warp-drive", "engine-dist"} {
+		if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(name)); err == nil {
+			t.Fatalf("unknown backend %q accepted", name)
+		}
 	}
 	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendCore),
 		lcp.WithEngine(lcp.NewEngine(in))); err == nil {
@@ -265,13 +264,12 @@ func TestCheckerSharedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedDist, err := lcp.NewChecker(in, lcp.WithScheme(scheme),
-		lcp.WithBackend(lcp.BackendEngineDist), lcp.WithEngine(eng))
+	second, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := core.Check(in, p, scheme.Verifier())
-	for name, chk := range map[string]lcp.Checker{"engine": shared, "engine-dist": sharedDist} {
+	for name, chk := range map[string]lcp.Checker{"first": shared, "second": second} {
 		rep, err := chk.Check(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -370,22 +368,19 @@ func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersDelegate: the deprecated free function lcp.Check
-// still answers exactly like the reference.
-func TestLegacyWrappersDelegate(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(10))
-	scheme := lcp.BipartiteScheme()
-	p, err := lcp.Prove(scheme, in)
+// checkCore verifies the proof on the façade's core backend, the
+// sequential reference every other backend is compared against.
+func checkCore(tb testing.TB, in *lcp.Instance, p lcp.Proof, v lcp.Verifier) *lcp.Report {
+	tb.Helper()
+	c, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendCore))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tampered := core.FlipBit(p, 3)
-	for _, proof := range []core.Proof{p, tampered} {
-		want := core.Check(in, proof, scheme.Verifier())
-		if got := lcp.Check(in, proof, scheme.Verifier()); !reflect.DeepEqual(got.Outputs, want.Outputs) {
-			t.Fatalf("lcp.Check diverged: %v vs %v", got.Outputs, want.Outputs)
-		}
+	rep, err := c.Check(context.Background(), p)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return rep
 }
 
 // TestCheckerReportStages: every backend attaches a per-stage timing
@@ -399,10 +394,9 @@ func TestCheckerReportStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStages := map[string][]string{
-		lcp.BackendCore:       {"core.check"},
-		lcp.BackendDist:       {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
-		lcp.BackendEngine:     {"engine.views", "engine.verify"},
-		lcp.BackendEngineDist: {"engine.run", "dist.run"},
+		lcp.BackendCore:   {"core.check"},
+		lcp.BackendDist:   {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
+		lcp.BackendEngine: {"engine.views", "engine.verify"},
 	}
 	for backend, want := range wantStages {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(backend))

@@ -184,6 +184,10 @@ func checkFleet(ctx context.Context, addrs []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: prove: %v", scheme.Name(), err)
 		}
+		ref, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendCore))
+		if err != nil {
+			return fmt.Errorf("%s: reference checker: %v", scheme.Name(), err)
+		}
 		chk, err := lcp.NewChecker(in,
 			lcp.WithBackend(lcp.BackendDistTCP),
 			lcp.WithScheme(scheme),
@@ -196,15 +200,19 @@ func checkFleet(ctx context.Context, addrs []string) error {
 			"honest":  good,
 			"flipped": core.FlipBit(good, 3),
 		} {
-			want := lcp.Check(in, p, scheme.Verifier()).Accepted()
+			want, err := ref.Check(ctx, p)
+			if err != nil {
+				lcp.CloseChecker(chk)
+				return fmt.Errorf("%s/%s: reference check: %v", scheme.Name(), name, err)
+			}
 			rep, err := chk.Check(ctx, p)
 			if err != nil {
 				lcp.CloseChecker(chk)
 				return fmt.Errorf("%s/%s: dist-tcp check: %v", scheme.Name(), name, err)
 			}
-			if rep.Accepted() != want {
+			if rep.Accepted() != want.Accepted() {
 				lcp.CloseChecker(chk)
-				return fmt.Errorf("%s/%s: dist-tcp accepted=%v, reference says %v", scheme.Name(), name, rep.Accepted(), want)
+				return fmt.Errorf("%s/%s: dist-tcp accepted=%v, reference says %v", scheme.Name(), name, rep.Accepted(), want.Accepted())
 			}
 			fmt.Fprintf(os.Stderr, "lcpfleet: %s/%s ok (accepted=%v, %v)\n", scheme.Name(), name, rep.Accepted(), rep.Elapsed.Round(time.Millisecond))
 		}

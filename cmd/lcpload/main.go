@@ -10,7 +10,7 @@
 // hermetically — that mode is what `make load-smoke` runs in CI.
 //
 //	lcpload -url http://localhost:8080 -duration 5s -concurrency 16
-//	lcpload -duration 2s -nodes 256 -batch 32 -backend engine-dist
+//	lcpload -duration 2s -nodes 256 -batch 32 -backend dist -partitioner bfs
 //
 // The workload registers one instance (an even cycle with the bipartite
 // scheme, proved by the server's own registry) and then re-verifies its
@@ -50,7 +50,7 @@ func main() {
 	nodes := flag.Int("nodes", 128, "instance size (an even cycle, bipartite scheme)")
 	batch := flag.Int("batch", 16, "proofs per /check/batch request")
 	backend := flag.String("backend", "", "request-level backend override: "+fmt.Sprint(config.Backends()))
-	partitioner := flag.String("partitioner", "", "request-level partitioner override (requires a distributed backend)")
+	partitioner := flag.String("partitioner", "", "request-level partitioner override (requires a message-passing backend)")
 	batchColumns := flag.String("batch-columns", "", "batch strategy override for /check/batch: auto, true, or false (requires the engine backend)")
 	flag.Parse()
 

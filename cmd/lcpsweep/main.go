@@ -21,7 +21,7 @@
 //	lcpsweep -families power-law -backends engine -n 1000000
 //	lcpsweep -bench-diff                       # compare fresh benches to BENCH_*.json
 //
-// The dist backends spin up message-passing automata per node; above
+// The dist backend spins up message-passing automata per node; above
 // -max-dist-n (default 10^5) those cells are skipped rather than left
 // to thrash, and the skip is reported in the table so a reader never
 // mistakes an absent row for a measured one. The ceiling is a
@@ -96,9 +96,9 @@ func main() {
 		benchDiff    = flag.Bool("bench-diff", false, "run the baselined benchmarks fresh and print ratios against BENCH_*.json")
 		nList        = flag.String("n", "100000", "comma-separated instance sizes")
 		families     = flag.String("families", "power-law,regular,road", "comma-separated graph families: power-law, regular, road")
-		backends     = flag.String("backends", "core,dist,engine,engine-dist", "comma-separated checker backends: "+fmt.Sprint(config.Backends()))
-		partitioners = flag.String("partitioners", "contiguous", "comma-separated partitioners for the dist backends: "+strings.Join(partition.Names(), ", "))
-		shardsList   = flag.String("shards", "0", "comma-separated shard counts for the dist backends (0 = GOMAXPROCS; a count >= n runs one node per shard)")
+		backends     = flag.String("backends", "core,dist,engine", "comma-separated checker backends: "+fmt.Sprint(config.Backends()))
+		partitioners = flag.String("partitioners", "contiguous", "comma-separated partitioners for the dist backend: "+strings.Join(partition.Names(), ", "))
+		shardsList   = flag.String("shards", "0", "comma-separated shard counts for the dist backend (0 = GOMAXPROCS; a count >= n runs one node per shard)")
 		maxDistN     = flag.Int("max-dist-n", 100000, "largest n the message-passing backends attempt in-process; bigger cells are skipped (the dist-tcp backend scales past this ceiling by spreading shards over lcpworker processes)")
 		seed         = flag.Int64("seed", 1, "base generator seed")
 		out          = flag.String("out", "", "write BENCH_sweep.json-style output to this path")
@@ -271,22 +271,17 @@ type gridCell struct {
 	skip                         string // non-empty: recorded but not run
 }
 
-// distBackend reports whether the backend spins up message-passing
-// automata, which is what makes partitioner/shards meaningful and the
-// per-node cost high enough to cap n.
-func distBackend(b string) bool {
-	return b == lcp.BackendDist || b == lcp.BackendEngineDist
-}
-
 // expandGrid crosses the parameter lists. Shared-memory backends take
 // one cell per (family, n) — partitioner and shards do not apply — while
-// the dist backends cross both, capped at maxDistN.
+// the dist backend, whose message-passing automata make both meaningful
+// and its per-node cost high enough to cap n, crosses both, capped at
+// maxDistN.
 func expandGrid(ns []int, families, backends, parts []string, shardCounts []int, maxDistN int) []gridCell {
 	var cells []gridCell
 	for _, fam := range families {
 		for _, n := range ns {
 			for _, b := range backends {
-				if !distBackend(b) {
+				if b != lcp.BackendDist {
 					cells = append(cells, gridCell{family: fam, n: n, backend: b, partitioner: "-"})
 					continue
 				}
@@ -412,7 +407,7 @@ func writeSweepFile(path string, results []cellResult) error {
 		Notes: []string{
 			"road interprets n as a target: the lattice side is round(sqrt n), so nodes can differ from n by a fraction of a percent.",
 			"heap_sys_bytes is runtime.MemStats.Sys at the end of the cell process: the high-water mark of memory obtained from the OS, a proxy for peak footprint.",
-			"skipped cells record why they did not run (dist backends are capped by -max-dist-n); absence of a number is never silent.",
+			"skipped cells record why they did not run (the dist backend is capped by -max-dist-n); absence of a number is never silent.",
 		},
 	}
 	data, err := json.MarshalIndent(sf, "", "  ")

@@ -3,9 +3,10 @@
 // lcpserve command-line flags, and the HTTP request options of
 // internal/serve all resolve into a Config, and dist.Options /
 // engine.Options are derived from it. The package exists so the four
-// execution paths (sequential reference, message-passing runtime,
-// cached-view engine, halo-sharded distributed engine) are parameterized
-// by one object instead of three hand-synchronized option structs.
+// execution paths (sequential reference, in-process message-passing
+// runtime, cached-view engine, multi-process TCP fan-out) are
+// parameterized by one object instead of hand-synchronized option
+// structs.
 package config
 
 import (
@@ -27,17 +28,13 @@ const (
 	// node per proof, no caching, no concurrency. The other three are
 	// property-tested verdict-identical to it.
 	BackendCore Backend = "core"
-	// BackendDist is the message-passing LOCAL runtime: node automata
-	// flood their radius-r balls over ports for Radius() rounds. The
-	// Dist tunables (shard count, scheduler partitioner) apply here.
+	// BackendDist is the in-process message-passing LOCAL runtime: node
+	// automata flood their radius-r balls over ports for Radius()
+	// rounds. Shards and Partitioner shape its scheduler.
 	BackendDist Backend = "dist"
 	// BackendEngine is the amortized shared-memory engine: radius-r view
 	// skeletons cached per instance, checks served by a worker pool.
 	BackendEngine Backend = "engine"
-	// BackendEngineDist is the distributed engine: the instance is cut
-	// into Runtimes radius-r halos (by Partitioner), each owned by a
-	// reusable message-passing runtime.
-	BackendEngineDist Backend = "engine-dist"
 	// BackendDistTCP is the multi-process scale-out: the instance is
 	// partitioned across external lcpworker processes (WorkerAddrs), each
 	// flooding its shard over TCP, with the local checker acting as the
@@ -48,13 +45,13 @@ const (
 
 // Backends lists the valid backend names, in documentation order.
 func Backends() []string {
-	return []string{string(BackendCore), string(BackendDist), string(BackendEngine), string(BackendEngineDist), string(BackendDistTCP)}
+	return []string{string(BackendCore), string(BackendDist), string(BackendEngine), string(BackendDistTCP)}
 }
 
 // ParseBackend resolves a backend name.
 func ParseBackend(name string) (Backend, error) {
 	switch Backend(name) {
-	case BackendCore, BackendDist, BackendEngine, BackendEngineDist, BackendDistTCP:
+	case BackendCore, BackendDist, BackendEngine, BackendDistTCP:
 		return Backend(name), nil
 	}
 	return "", fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
@@ -73,19 +70,14 @@ type Config struct {
 	// Workers bounds the engine's shared-memory worker pool
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Runtimes is the number of message-passing runtimes the
-	// engine-dist backend spans, each owning one partitioner group's
-	// radius-r halo (0 = 1).
-	Runtimes int
-	// Partitioner chooses the node→shard assignment policy, applied at
-	// both levels like lcpserve's -partitioner flag: the engine-dist
-	// halo cut and the sharded scheduler layout inside each runtime.
-	// nil means partition.Contiguous{}.
+	// Partitioner chooses the node→shard assignment of the
+	// message-passing backends: the scheduler shard layout of dist and
+	// the worker cut of dist-tcp. nil means partition.Contiguous{}.
 	Partitioner partition.Partitioner
-	// Dist carries the message-passing scheduler tunables (shard
-	// count, scheduler partitioner). Its Partitioner field, when nil,
-	// inherits Config.Partitioner.
-	Dist dist.Options
+	// Shards is the dist backend's scheduler goroutine count
+	// (0 = GOMAXPROCS; a count at or above the node count runs one node
+	// automaton per goroutine).
+	Shards int
 	// BatchColumns selects whether CheckBatch on the engine backend
 	// takes the column-wise batch path (one ball walk feeding all k
 	// proofs). The zero value auto-engages it at
@@ -152,8 +144,8 @@ func (c Config) ResolvedBackend() Backend {
 }
 
 // PartitionerName is the registry name of the configured partitioner
-// ("contiguous" for the nil default) — the cache key serve uses for
-// per-partitioner engines.
+// ("contiguous" for the nil default) — part of the key serve caches
+// message-passing checkers under.
 func (c Config) PartitionerName() string {
 	if c.Partitioner == nil {
 		return partition.Contiguous{}.Name()
@@ -176,26 +168,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DistOptions derives the message-passing scheduler options: the Dist
-// tunables with the shared partitioner policy filled in.
+// DistOptions derives the dist backend's scheduler options.
 func (c Config) DistOptions() dist.Options {
-	d := c.Dist
-	if d.Partitioner == nil {
-		d.Partitioner = c.Partitioner
-	}
-	return d
+	return dist.Options{Shards: c.Shards, Partitioner: c.Partitioner}
 }
 
-// EngineOptions derives the engine configuration: worker pool, halo
-// runtimes, halo partitioner, and the scheduler options of every
-// runtime.
+// EngineOptions derives the engine configuration: its worker pool.
 func (c Config) EngineOptions() engine.Options {
-	return engine.Options{
-		Workers:     c.Workers,
-		Shards:      c.Runtimes,
-		Partitioner: c.Partitioner,
-		Dist:        c.DistOptions(),
-	}
+	return engine.Options{Workers: c.Workers}
 }
 
 // Option describes one textual configuration key of the shared
@@ -213,9 +193,8 @@ func Options() []Option {
 	return []Option{
 		{Key: "backend", Usage: "execution path: " + strings.Join(Backends(), ", ")},
 		{Key: "workers", Usage: "engine worker pool size (0 = GOMAXPROCS)"},
-		{Key: "runtimes", Usage: "message-passing runtimes per instance on the engine-dist backend, each owning one partitioner group's radius-r halo (0 = 1; this is what -shards meant before the facade redesign)"},
-		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (applied to the engine-dist halo cut and the sharded scheduler layout)"},
-		{Key: "shards", Usage: "scheduler goroutines per message-passing runtime (0 = GOMAXPROCS; a count >= the node count runs one node per goroutine). NOTE: pre-facade releases spelled this -dist-shards and used -shards for what is now -runtimes"},
+		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (the dist scheduler layout and the dist-tcp worker cut)"},
+		{Key: "shards", Usage: "dist backend scheduler goroutines (0 = GOMAXPROCS; a count >= the node count runs one node per goroutine)"},
 		{Key: "batch-columns", Usage: fmt.Sprintf("engine-backend batch strategy: auto (column-wise for batches of >= %d proofs), true (always column-wise), false (per-proof loop)", BatchColumnsAutoThreshold)},
 		{Key: "worker-addrs", Usage: "comma-separated lcpworker control addresses (host:port,...) for the dist-tcp backend, one shard per worker"},
 	}
@@ -238,12 +217,6 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		c.Workers = n
-	case "runtimes":
-		n, err := nonNegativeInt(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Runtimes = n
 	case "partitioner":
 		p, err := partition.ByName(value)
 		if err != nil {
@@ -255,7 +228,7 @@ func (c *Config) Set(key, value string) error {
 		if err != nil {
 			return fail(err)
 		}
-		c.Dist.Shards = n
+		c.Shards = n
 	case "worker-addrs":
 		var addrs []string
 		for _, a := range strings.Split(value, ",") {
@@ -303,7 +276,7 @@ func nonNegativeInt(value string) (int, error) {
 // Flags registers every option of the key table on the flag set, all
 // funneling through c.Set — the lcpserve flag surface is generated from
 // the same table the HTTP options resolve against, so the two can never
-// drift. Every option is a value flag (-runtimes 4).
+// drift. Every option is a value flag (-shards 4).
 func Flags(fs *flag.FlagSet, c *Config) {
 	for _, o := range Options() {
 		key := o.Key

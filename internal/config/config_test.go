@@ -13,9 +13,8 @@ import (
 func TestSetResolvesEveryKey(t *testing.T) {
 	var c Config
 	for _, kv := range [][2]string{
-		{"backend", "engine-dist"},
+		{"backend", "dist"},
 		{"workers", "5"},
-		{"runtimes", "3"},
 		{"partitioner", "bfs"},
 		{"shards", "4"},
 	} {
@@ -23,14 +22,14 @@ func TestSetResolvesEveryKey(t *testing.T) {
 			t.Fatalf("Set(%q, %q): %v", kv[0], kv[1], err)
 		}
 	}
-	if c.Backend != BackendEngineDist || c.Workers != 5 || c.Runtimes != 3 {
+	if c.Backend != BackendDist || c.Workers != 5 || c.Shards != 4 {
 		t.Fatalf("top-level fields wrong: %+v", c)
 	}
 	if c.Partitioner == nil || c.Partitioner.Name() != "bfs" {
 		t.Fatalf("partitioner not resolved: %+v", c.Partitioner)
 	}
 	eo := c.EngineOptions()
-	if eo.Workers != 5 || eo.Shards != 3 || eo.Partitioner.Name() != "bfs" {
+	if eo.Workers != 5 {
 		t.Fatalf("EngineOptions wrong: %+v", eo)
 	}
 	do := c.DistOptions()
@@ -45,14 +44,16 @@ func TestSetRejectsBadValues(t *testing.T) {
 		{"backend", "quantum"},
 		{"workers", "-1"},
 		{"workers", "many"},
-		{"runtimes", "-2"},
 		{"partitioner", "psychic"},
 		{"shards", "-3"},
 		{"warp", "9"},
-		// Removed keys are unknown, not silently ignored.
+		// Removed keys are unknown and removed backends fail to parse,
+		// not silently ignored.
 		{"sharded", "true"},
 		{"free-running", "true"},
 		{"distributed", "true"},
+		{"runtimes", "3"},
+		{"backend", "engine-dist"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err == nil {
 			t.Fatalf("Set(%q, %q) accepted", kv[0], kv[1])
@@ -73,14 +74,14 @@ func TestFlagsGeneratedFromKeyTable(t *testing.T) {
 		}
 	}
 	err := fs.Parse([]string{
-		"-backend", "dist", "-workers", "2", "-runtimes", "4",
+		"-backend", "dist", "-workers", "2",
 		"-partitioner", "greedy", "-shards", "3",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Backend != BackendDist || c.Workers != 2 || c.Runtimes != 4 ||
-		c.Partitioner.Name() != "greedy" || c.Dist.Shards != 3 {
+	if c.Backend != BackendDist || c.Workers != 2 ||
+		c.Partitioner.Name() != "greedy" || c.Shards != 3 {
 		t.Fatalf("flag parse landed wrong: %+v", c)
 	}
 

@@ -11,7 +11,7 @@ import (
 
 // Options tunes the runtime's scheduler. The zero value is the default
 // configuration used by Check and Collect: GOMAXPROCS shard goroutines
-// over the contiguous partition, every node deciding.
+// over the contiguous partition.
 type Options struct {
 	// Shards is the number of shard goroutines the node automata are
 	// batched onto, capped at the node count. 0 means GOMAXPROCS.
@@ -30,16 +30,6 @@ type Options struct {
 	// whose identifiers do not follow topology. Verdicts are identical
 	// under every assignment.
 	Partitioner partition.Partitioner
-	// DecideOnly restricts the decision phase to the listed nodes: every
-	// node still floods (carriers are part of the communication graph
-	// and must forward records), but only the listed ones assemble views
-	// and run the verifier, and only they appear in the Result. nil
-	// means every node decides. The engine's halo shards use this so the
-	// halo-only carrier nodes — whose views are clipped at the halo
-	// boundary and whose verdicts would be discarded anyway — never pay
-	// verifier work (and can never fail a run by panicking on a clipped
-	// view). Unknown identifiers are ignored.
-	DecideOnly []int
 }
 
 // shardCount resolves the shard goroutine count for an n-node network:
@@ -78,7 +68,7 @@ func Check(in *core.Instance, p core.Proof, v core.Verifier) (*core.Result, erro
 }
 
 // CheckWith is Check with an explicit scheduler configuration: the
-// shard count, the node→shard partitioner, and the deciding subset.
+// shard count and the node→shard partitioner.
 func CheckWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
 	//lint:ignore ctxflow ctx-less CheckWith is the documented uncancellable entry point; CheckWithCtx is the threaded variant
 	return CheckWithCtx(context.Background(), in, p, v, opt)

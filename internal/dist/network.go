@@ -15,8 +15,8 @@ import (
 // part of a run (per-node state, one channel per cross-shard directed
 // port); Check only swaps the proof bits into the round-0 records and
 // floods, so repeated verification of the same graph amortizes the
-// wiring — the engine's message-passing path and cmd/lcpserve both sit
-// on top of this type.
+// wiring — the façade's dist backend, and through it cmd/lcpserve's
+// per-instance checker cache, sits on top of this type.
 //
 // A wiring is single-occupancy (one run at a time), but Check never
 // serializes callers on it: when the idle wirings run out, an extra one
@@ -74,9 +74,6 @@ func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 	}
 	return nw, nil
 }
-
-// Instance returns the instance the network was wired for.
-func (nw *Network) Instance() *core.Instance { return nw.in }
 
 // Check runs the verifier against the proof on a prewired network.
 // Verdicts are identical to a fresh dist.CheckWith under the same

@@ -85,14 +85,13 @@ func initialRecord(in *core.Instance, v int, buf []edgeRec) record {
 
 // node is the per-automaton state: one entry of a shard's work list.
 type node struct {
-	id      int
-	carrier bool           // floods but never decides (Options.DecideOnly)
-	base    record         // round-0 knowledge minus the proof (constant across runs)
-	in      []<-chan batch // one port per cross-shard communication neighbour
-	out     []chan<- batch
-	local   []*node        // same-shard neighbours, merged into directly
-	known   map[int]record // id -> record, everything learned so far
-	dist    map[int]int    // id -> round of first arrival (= BFS distance)
+	id    int
+	base  record         // round-0 knowledge minus the proof (constant across runs)
+	in    []<-chan batch // one port per cross-shard communication neighbour
+	out   []chan<- batch
+	local []*node        // same-shard neighbours, merged into directly
+	known map[int]record // id -> record, everything learned so far
+	dist  map[int]int    // id -> round of first arrival (= BFS distance)
 	// indEdges accumulates the ball's induced edges incrementally: an
 	// edge is appended exactly once, the moment the record of its second
 	// endpoint merges (both endpoints report every incident edge, so the
@@ -158,7 +157,6 @@ func (nd *node) release() {
 	nd.in, nd.out = nd.in[:0], nd.out[:0]
 	clear(nd.local)
 	nd.local = nd.local[:0]
-	nd.carrier = false
 	nodePool.Put(nd)
 }
 
@@ -258,10 +256,9 @@ func (nd *node) assemble(in *core.Instance, radius int) *core.View {
 // each run seeds the nodes with the proof under test, so one network
 // serves arbitrarily many proofs.
 type network struct {
-	nodes    []*node
-	deciders int       // nodes that assemble + verify (all unless DecideOnly)
-	shards   [][]*node // partition of nodes, one work list per shard goroutine
-	bar      *barrier  // one participant per shard
+	nodes  []*node
+	shards [][]*node // partition of nodes, one work list per shard goroutine
+	bar    *barrier  // one participant per shard
 	// crossPorts and localLinks fix the per-round delivery counts for
 	// this wiring: every port carries one batch per round, every local
 	// link merges once per round. countRun multiplies them by the round
@@ -280,23 +277,11 @@ func buildNetwork(in *core.Instance, opt Options) (*network, error) {
 	if err := partition.Validate(assign, len(ids), shards); err != nil {
 		return nil, fmt.Errorf("dist: partitioner %q: %v", opt.partitioner().Name(), err)
 	}
-	net := &network{nodes: make([]*node, len(ids)), deciders: len(ids)}
+	net := &network{nodes: make([]*node, len(ids))}
 	byID := make(map[int]*node, len(ids))
 	for i, id := range ids {
 		net.nodes[i] = newNode(in, id)
 		byID[id] = net.nodes[i]
-	}
-	if opt.DecideOnly != nil {
-		for _, nd := range net.nodes {
-			nd.carrier = true
-		}
-		net.deciders = 0
-		for _, id := range opt.DecideOnly {
-			if nd := byID[id]; nd != nil && nd.carrier {
-				nd.carrier = false
-				net.deciders++
-			}
-		}
 	}
 	// Carve the shard work lists out of one backing array (a counting
 	// sort by shard), so one node per shard costs no allocation per
@@ -350,7 +335,7 @@ var errRunAborted = errors.New("dist: run cancelled")
 
 // run executes one complete verification pass: seed every node with the
 // proof, flood for the verifier's radius, assemble views, decide. Every
-// worker goroutine — including carriers, which report no verdict — is
+// worker goroutine is
 // joined before returning, so the network is reusable (or releasable)
 // immediately afterwards: all ports are drained and no goroutine of
 // this run still touches a node automaton.
@@ -393,7 +378,7 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 		}()
 	}
 	// Deciders never block sending: the channel holds every verdict.
-	verdicts := make(chan nodeVerdict, net.deciders)
+	verdicts := make(chan nodeVerdict, len(net.nodes))
 	var wg sync.WaitGroup
 	// floodNS, when a timeline is watching, collects the slowest worker's
 	// flood time — the critical path of the parallel phase. Workers only
@@ -405,9 +390,9 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 	}
 	stopRun := tl.Start("dist.run")
 	net.runShards(in, radius, rounds, v, verdicts, &wg, floodNS)
-	res := &core.Result{Outputs: make(map[int]bool, net.deciders)}
+	res := &core.Result{Outputs: make(map[int]bool, len(net.nodes))}
 	var firstErr error
-	for i := 0; i < net.deciders; i++ {
+	for range net.nodes {
 		nv := <-verdicts
 		if nv.err != nil && firstErr == nil {
 			firstErr = nv.err

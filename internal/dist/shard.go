@@ -34,11 +34,11 @@ import (
 // the two batch buffers of every node are reused round after round.
 
 // runShards fans the verdict work out by shard: every shard goroutine
-// floods its nodes and then assembles and verifies each owned node in
+// floods its nodes and then assembles and verifies each of them in
 // place, so decision concurrency is the shard count. An aborted flood
 // (a cancelled run poisoning the shard barrier) still reports one
-// verdict per owned decider, carrying errRunAborted, so run's
-// collection loop drains exactly net.deciders entries.
+// verdict per node, carrying errRunAborted, so run's collection loop
+// drains exactly one entry per node.
 func (net *network) runShards(in *core.Instance, radius, rounds int, v core.Verifier, verdicts chan<- nodeVerdict, wg *sync.WaitGroup, floodNS *atomic.Int64) {
 	wg.Add(len(net.shards))
 	for _, group := range net.shards {
@@ -53,9 +53,6 @@ func (net *network) runShards(in *core.Instance, radius, rounds int, v core.Veri
 				storeMax(floodNS, int64(time.Since(t0)))
 			}
 			for _, nd := range group {
-				if nd.carrier {
-					continue
-				}
 				if aborted {
 					verdicts <- nodeVerdict{id: nd.id, err: errRunAborted}
 					continue

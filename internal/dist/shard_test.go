@@ -161,54 +161,6 @@ func TestShardedNetworkReuse(t *testing.T) {
 	}
 }
 
-// TestDecideOnlySubset: carriers flood but never decide — the result
-// contains exactly the listed nodes, their verdicts match the full
-// reference, and a verifier that panics at a carrier never fires —
-// at the default shard count, three shards, and one node per shard.
-func TestDecideOnlySubset(t *testing.T) {
-	in := core.NewInstance(lcp.Cycle(11))
-	scheme := lcp.OddNScheme()
-	p, err := scheme.Prove(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deciders := []int{2, 5, 6, 9}
-	isDecider := func(id int) bool {
-		for _, d := range deciders {
-			if d == id {
-				return true
-			}
-		}
-		return false
-	}
-	v := core.VerifierFunc{R: scheme.Verifier().Radius(), F: func(w *core.View) bool {
-		if !isDecider(w.Center) {
-			panic(fmt.Sprintf("carrier %d was asked to decide", w.Center))
-		}
-		return scheme.Verifier().Verify(w)
-	}}
-	want := core.Check(in, p, scheme.Verifier())
-	for _, opt := range []dist.Options{
-		{DecideOnly: deciders},
-		{DecideOnly: deciders, Shards: 3},
-		{DecideOnly: deciders, Shards: in.G.N()}, // one node per shard
-	} {
-		got, err := dist.CheckWith(in, p, v, opt)
-		if err != nil {
-			t.Fatalf("opts=%+v: %v", opt, err)
-		}
-		if len(got.Outputs) != len(deciders) {
-			t.Fatalf("opts=%+v: got %d verdicts, want %d", opt, len(got.Outputs), len(deciders))
-		}
-		for _, id := range deciders {
-			out, ok := got.Outputs[id]
-			if !ok || out != want.Outputs[id] {
-				t.Fatalf("opts=%+v: node %d verdict %v/%v, reference %v", opt, id, out, ok, want.Outputs[id])
-			}
-		}
-	}
-}
-
 // badPartitioner returns a fixed (usually invalid) assignment no matter
 // the graph.
 type badPartitioner struct{ assign []int }

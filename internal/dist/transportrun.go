@@ -37,11 +37,11 @@ import (
 type ShardPlan struct {
 	// In is the instance the shard's automata read their round-0
 	// knowledge from. It must contain every owned node with all of its
-	// incident edges and their endpoints — the radius-1 halo a
-	// coordinator ships (engine.HaloInstance), or simply the full
-	// instance in process. Model-level conventions (graph kind, Global,
-	// the nil-map labelling conventions) must match the full instance,
-	// since view assembly consults them.
+	// incident edges and their endpoints — the radius-1 halo the
+	// coordinator ships to each worker, or simply the full instance in
+	// process. Model-level conventions (graph kind, Global, the nil-map
+	// labelling conventions) must match the full instance, since view
+	// assembly consults them.
 	In *core.Instance
 	// Owned lists the node ids this shard runs automata (and decides)
 	// for.

@@ -62,25 +62,3 @@ func TestCheckBatchCtxBackgroundMatchesCheckBatch(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckDistributedCtxPreCancelled: a cancelled context fails the
-// sharded distributed path before any halo floods.
-func TestCheckDistributedCtxPreCancelled(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(16))
-	scheme := lcp.BipartiteScheme()
-	e := engine.New(in, engine.Options{Shards: 3})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.CheckDistributedCtx(ctx, core.Proof{}, scheme.Verifier()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	// The engine must keep serving after a cancelled distributed check.
-	res, err := e.CheckDistributed(core.Proof{}, scheme.Verifier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Check(in, core.Proof{}, scheme.Verifier())
-	if !reflect.DeepEqual(res.Outputs, want.Outputs) {
-		t.Fatal("engine diverged after cancelled distributed check")
-	}
-}

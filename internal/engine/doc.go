@@ -21,10 +21,11 @@
 // restriction enforced by View.ProofOf against the skeleton's distance
 // map. The per-proof cost is one O(n) load plus the verifier's own work.
 //
-// Four serving shapes are exposed:
+// Three serving shapes are exposed, all over the same cached skeletons
+// and a bounded worker pool (Options.Workers):
 //
-//   - CheckProof / CheckBatch: sharded over a bounded worker pool
-//     (contiguous node ranges, the shared-memory path);
+//   - CheckProof / CheckBatch: one proof at a time, the node set split
+//     into contiguous ranges across the pool;
 //   - CheckBatchColumns: the column-wise batch path — the k proofs of
 //     one batch load into a node-major core.ProofColumns table and a
 //     single walk over the cached skeletons evaluates all k columns per
@@ -33,17 +34,12 @@
 //     verifier;
 //   - CheckStream: verdicts stream over a channel as each node decides,
 //     with early exit on context cancellation — callers stop paying the
-//     moment the first rejection arrives;
-//   - CheckDistributed: the message-passing path, sharded across
-//     multiple reusable dist.Network runtimes. Each shard owns a
-//     contiguous node range and floods inside the range's radius-r halo
-//     (every node within distance r of an owned node), so its owned
-//     views are exactly what the full graph would deliver. The shards
-//     of one check always flood concurrently, and because dist.Network
-//     draws wirings from a pool instead of serializing on a mutex,
-//     concurrent checks of the same instance overlap too. Each
-//     underlying runtime batches its halo onto its own scheduler shards
-//     (Options.Dist.Shards).
+//     moment the first rejection arrives.
+//
+// The engine is the shared-memory backend only. Message passing lives
+// in internal/dist (one in-process dist.Network per instance) and
+// internal/remote (the same round loop fanned out over worker
+// processes).
 //
 // Verdicts are identical to core.Check on every path; the property
 // tests sweep the whole catalog, including tampered and truncated

@@ -315,7 +315,7 @@ func (g *Graph) Degree(id int) int { return len(g.Neighbors(id)) }
 // adjacency of the LOCAL model's communication graph (§2.1: views and
 // message passing follow undirected reachability even on directed
 // instances); BallAround, the dist runtime's port wiring, and the
-// engine's shard halos all derive from it.
+// dist-tcp coordinator's worker halos all derive from it.
 func (g *Graph) UndirectedNeighbors(id int) []int {
 	if g.kind != Directed {
 		return g.Neighbors(id)

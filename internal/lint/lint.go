@@ -87,11 +87,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	pos      token.Position // of the comment
-	name     string         // analyzer name the directive targets
-	reason   string         // mandatory free-text justification
-	used     bool           // set when it suppresses at least one diagnostic
-	malformed string        // non-empty when the directive could not be parsed
+	pos       token.Position // of the comment
+	name      string         // analyzer name the directive targets
+	reason    string         // mandatory free-text justification
+	used      bool           // set when it suppresses at least one diagnostic
+	malformed string         // non-empty when the directive could not be parsed
 }
 
 var ignoreRE = regexp.MustCompile(`^//lint:ignore(\s+(\S+))?(\s+(.*\S))?\s*$`)

@@ -1,13 +1,14 @@
 // Package partition assigns graph nodes to scheduler shards.
 //
 // Every sharded execution layer in the repository — the dist runtime's
-// shard goroutines, the engine's halo sub-instances, and the worker
-// pools that split node ranges — ultimately needs a map from nodes to
-// shards. The LOCAL model charges only for communication rounds, but
-// the simulation's wall-clock cost is dominated by cross-shard message
-// traffic: a same-shard edge is a direct merge with no channel, while a
-// cross-shard edge costs two ports, two channel operations per round,
-// and (in the engine) a duplicated halo carrier. This package therefore
+// shard goroutines, the dist-tcp coordinator's per-worker halos, and
+// the worker pools that split node ranges — ultimately needs a map from
+// nodes to shards. The LOCAL model charges only for communication
+// rounds, but the simulation's wall-clock cost is dominated by
+// cross-shard message traffic: a same-shard edge is a direct merge with
+// no channel, while a cross-shard edge costs two ports and two channel
+// operations per round (or, across worker processes, wire bytes and a
+// halo node shipped to both sides). This package therefore
 // treats partitioning as a quality problem, not an indexing detail: the
 // Partitioner interface produces a node→shard assignment, and the three
 // implementations trade assignment cost against cut quality.
@@ -26,6 +27,6 @@
 // CutEdges measures what the schedulers pay for; BenchmarkPartitioners
 // and BENCH_partition.json track it alongside round throughput. All
 // partitioners are deterministic and verdict-neutral: property tests in
-// internal/dist and internal/engine assert that every assignment yields
+// internal/dist and internal/remote assert that every assignment yields
 // results identical to core.Check.
 package partition

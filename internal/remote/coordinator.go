@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"lcp/internal/core"
-	"lcp/internal/engine"
 	"lcp/internal/obs"
 	"lcp/internal/partition"
 	"lcp/internal/textio"
@@ -174,7 +173,7 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 	for i := 0; i < workers; i++ {
 		halo := in
 		if len(owned[i]) < len(ids) {
-			halo = engine.HaloInstance(in, owned[i], 1)
+			halo = haloInstance(in, owned[i])
 		}
 		var sb strings.Builder
 		if err := textio.Write(&sb, &textio.Document{Instance: halo}); err != nil {

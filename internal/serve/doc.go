@@ -7,8 +7,9 @@
 // Clients register an instance once (POST /instances, body in the
 // textio text format) and the server wires a long-lived engine for it;
 // every subsequent check against that instance reuses the cached
-// radius-r views, the pooled flat proof tables, and the sharded
-// message-passing runtimes, and only pays for the proof under test.
+// radius-r views and the pooled flat proof tables — or, on the
+// message-passing backends, the instance's cached dist network or
+// worker-fleet registration — and only pays for the proof under test.
 //
 // Endpoints:
 //
@@ -26,10 +27,11 @@
 // Check requests address a registered instance by id, or carry a
 // one-shot textio document inline; the scheme defaults to the
 // document's "scheme" directive and the proof to its "proof" lines.
-// Setting "backend": "engine-dist" routes a check through the engine's
-// message-passing path. The proofs of a distributed batch run
-// concurrently — each draws its own wirings from the instance's
-// reusable dist networks — so one /check/batch request saturates the
+// Setting "backend": "dist" routes a check through the in-process
+// message-passing runtime, wired once per instance, scheme and
+// partitioner and reused by every later request. The proofs of a dist
+// batch run concurrently — each draws its own wiring from that
+// reusable dist network — so one /check/batch request saturates the
 // machine instead of flooding one proof at a time; docs/ARCHITECTURE.md
 // traces the full request lifecycle.
 package serve

@@ -31,7 +31,7 @@ func TestServeBackendOption(t *testing.T) {
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 	tampered := core.FlipBit(p, 2)
 	wantTampered := core.Check(in, tampered, scheme.Verifier())
-	for _, backend := range []string{"core", "dist", "engine", "engine-dist"} {
+	for _, backend := range []string{"core", "dist", "engine"} {
 		var verdict struct {
 			Accepted bool   `json:"accepted"`
 			Backend  string `json:"backend"`
@@ -99,21 +99,31 @@ func TestServeBackendGuards(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Cycle(8))
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
-	for name, req := range map[string]map[string]any{
-		"unknown backend":       {"instance": id, "backend": "quantum"},
-		"partitioner on engine": {"instance": id, "backend": "engine", "partitioner": "bfs"},
+	// An unknown backend name — including the removed "engine-dist" —
+	// gets an error listing the valid ones.
+	const validBackends = "valid: core, dist, engine, dist-tcp"
+	for name, tc := range map[string]struct {
+		req  map[string]any
+		want string
+	}{
+		"unknown backend":       {map[string]any{"instance": id, "backend": "quantum"}, validBackends},
+		"removed engine-dist":   {map[string]any{"instance": id, "backend": "engine-dist"}, validBackends},
+		"partitioner on engine": {map[string]any{"instance": id, "backend": "engine", "partitioner": "bfs"}, ""},
 	} {
-		resp, body := postJSON(t, ts.URL+"/check", req)
+		resp, body := postJSON(t, ts.URL+"/check", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
 		}
+		if !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: error %s does not contain %q", name, body, tc.want)
+		}
 	}
-	// Distributed backends cannot stream.
+	// Message-passing backends cannot stream.
 	resp, body := postJSON(t, ts.URL+"/check/stream", map[string]any{
-		"instance": id, "backend": "engine-dist",
+		"instance": id, "backend": "dist",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("stream on engine-dist: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("stream on dist: status %d: %s", resp.StatusCode, body)
 	}
 	// But the shared-memory backends can.
 	resp, _ = postJSON(t, ts.URL+"/check/stream", map[string]any{
@@ -122,7 +132,7 @@ func TestServeBackendGuards(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream on core backend: status %d", resp.StatusCode)
 	}
-	// Partitioner with a distributed backend passes the guard.
+	// Partitioner with a message-passing backend passes the guard.
 	resp, body = postJSON(t, ts.URL+"/check", map[string]any{
 		"instance": id, "backend": "dist", "partitioner": "bfs",
 	})
@@ -131,10 +141,9 @@ func TestServeBackendGuards(t *testing.T) {
 	}
 }
 
-// TestServeRejectsRemovedDistributedField: the old "distributed" alias
-// for "backend": "engine-dist" is gone, and a body still sending it
-// fails loudly as an unknown field instead of silently running on the
-// default backend.
+// TestServeRejectsRemovedDistributedField: the old "distributed"
+// request flag is gone, and a body still sending it fails loudly as an
+// unknown field instead of silently running on the default backend.
 func TestServeRejectsRemovedDistributedField(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Cycle(8))
@@ -192,7 +201,7 @@ func TestServeBatchColumnsOption(t *testing.T) {
 	// Misdirected or malformed strategy options fail the request.
 	for name, req := range map[string]map[string]any{
 		"non-engine backend": {"instance": id, "proofs": proofs, "backend": "dist", "batch_columns": "true"},
-		"distributed engine": {"instance": id, "proofs": proofs, "backend": "engine-dist", "batch_columns": "true"},
+		"core backend":       {"instance": id, "proofs": proofs, "backend": "core", "batch_columns": "true"},
 		"bogus value":        {"instance": id, "proofs": proofs, "backend": "engine", "batch_columns": "sideways"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/check/batch", req)
@@ -203,12 +212,12 @@ func TestServeBatchColumnsOption(t *testing.T) {
 }
 
 // TestServeDefaultBackendFlag: a server whose configured default
-// backend is distributed runs plain /check requests distributed — and
+// backend is dist runs plain /check requests on it — and
 // honors a partitioner-only override without the client repeating the
 // server's own default backend.
 func TestServeDefaultBackendFlag(t *testing.T) {
 	var base config.Config
-	if err := base.Set("backend", "engine-dist"); err != nil {
+	if err := base.Set("backend", "dist"); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), base))
@@ -235,8 +244,8 @@ func TestServeDefaultBackendFlag(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
-		if !out.Accepted || out.Backend != "engine-dist" {
-			t.Fatalf("%v: accepted=%v backend=%q, want accepted on engine-dist", req, out.Accepted, out.Backend)
+		if !out.Accepted || out.Backend != "dist" {
+			t.Fatalf("%v: accepted=%v backend=%q, want accepted on dist", req, out.Accepted, out.Backend)
 		}
 	}
 	// The explicit per-request override back to a shared-memory backend
@@ -245,7 +254,7 @@ func TestServeDefaultBackendFlag(t *testing.T) {
 		"instance": id, "proof": proofWire(p), "backend": "engine", "partitioner": "bfs",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("engine+partitioner on distributed-default server: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("engine+partitioner on dist-default server: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -88,29 +88,30 @@ type instanceEntry struct {
 	Doc    *textio.Document
 	Engine *engine.Engine
 	elem   *list.Element // LRU position; nil for inline one-shot entries
-	// alt holds lazily wired engines for per-request partitioner
-	// overrides, keyed by partitioner name and guarded by the server
-	// mutex. They share the entry's instance; only the distributed-shard
-	// cut differs, so each warms its own runtime caches on first use.
-	alt map[string]*engine.Engine
-	// remote holds the entry's dist-tcp checkers, keyed by scheme and
-	// partitioner and guarded by the server mutex. Each one dialed the
-	// worker fleet and registered the instance on first use — the
-	// expensive part of the multi-process path — so repeated requests
-	// reuse the registration like the engine paths reuse cached views.
-	// Evicting or deleting the entry closes them, which tells the fleet
-	// to forget the instance.
-	remote map[string]lcp.Checker
+	// checkers holds the entry's message-passing checkers (dist and
+	// dist-tcp), keyed by backend, scheme and partitioner and guarded
+	// by the server mutex. Each wires its expensive state on first use —
+	// the dist.Network's node automata and ports, or the worker fleet's
+	// registration — so repeated requests reuse it like the engine
+	// backend reuses cached views. Evicting or deleting the entry closes
+	// them: dist wirings go back to the runtime's node pool and the
+	// fleet forgets the instance.
+	checkers map[string]lcp.Checker
 }
 
-// closeRemote closes the entry's dist-tcp checkers (fleet
-// deregistration + control connections). Caller holds the server mutex
-// or owns the entry exclusively.
-func (entry *instanceEntry) closeRemote() {
-	for _, chk := range entry.remote {
+// closeCheckers empties the entry's checker cache and closes what it
+// held. The cache is swapped out under the server mutex, so a request
+// that resolved the entry before it was dropped races nothing; the
+// closes run outside it, since a dist-tcp close waits for the in-flight
+// remote check to drain.
+func (s *Server) closeCheckers(entry *instanceEntry) {
+	s.mu.Lock()
+	checkers := entry.checkers
+	entry.checkers = nil
+	s.mu.Unlock()
+	for _, chk := range checkers {
 		lcp.CloseChecker(chk)
 	}
-	entry.remote = nil
 }
 
 // latencyBoundsMS are the fixed per-endpoint histogram bucket upper
@@ -360,17 +361,18 @@ type checkRequest struct {
 	// Proofs is the batch variant (POST /check/batch only).
 	Proofs []*proofBody `json:"proofs,omitempty"`
 	// Backend overrides the execution path for this request: "core",
-	// "dist", "engine", or "engine-dist". It resolves through the same
+	// "dist", "engine", or "dist-tcp". It resolves through the same
 	// config.Set resolver as the lcpserve flags, so the names (and the
 	// semantics) are identical on the command line and on the wire.
 	// Empty means the server's configured default backend.
 	Backend string `json:"backend,omitempty"`
-	// Partitioner overrides how the distributed backends assign nodes
-	// to shards for this request: "contiguous", "bfs", or "greedy" (see
-	// internal/partition). Requires a distributed backend. Empty means
-	// the server's configured default. Each named partitioner gets its
-	// own long-lived engine per registered instance, so repeated
-	// requests amortize exactly like the default one.
+	// Partitioner overrides how the message-passing backends assign
+	// nodes to shards for this request: "contiguous", "bfs", or
+	// "greedy" (see internal/partition). Requires a message-passing
+	// backend. Empty means the server's configured default. Each named
+	// partitioner gets its own long-lived checker per registered
+	// instance, so repeated requests amortize exactly like the default
+	// one.
 	Partitioner string `json:"partitioner,omitempty"`
 	// StopOnReject makes /check/stream cancel remaining work as soon
 	// as the first rejection streams out.
@@ -600,14 +602,14 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 		}
 	}
 	if req.Partitioner != "" {
-		// The partitioner shapes the distributed shard cut; on the
+		// The partitioner shapes the message-passing shard cut; on the
 		// cached-view paths it would be silently ignored, which is the
 		// exact client bug this guard exists for. The check runs against
 		// the resolved backend, so a server whose *default* backend is
-		// distributed honors partitioner-only requests.
-		if b := cfg.ResolvedBackend(); b != config.BackendDist && b != config.BackendEngineDist && b != config.BackendDistTCP {
-			return cfg, fmt.Errorf("%q requires a distributed backend (%q, %q, or %q), resolved backend is %q",
-				"partitioner", config.BackendDist, config.BackendEngineDist, config.BackendDistTCP, b)
+		// message-passing honors partitioner-only requests.
+		if b := cfg.ResolvedBackend(); b != config.BackendDist && b != config.BackendDistTCP {
+			return cfg, fmt.Errorf("%q requires a message-passing backend (%q or %q), resolved backend is %q",
+				"partitioner", config.BackendDist, config.BackendDistTCP, b)
 		}
 		if err := cfg.Set("partitioner", req.Partitioner); err != nil {
 			return cfg, err
@@ -632,51 +634,24 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 	return cfg, nil
 }
 
-// engineFor picks the entry's engine for the resolved config's
-// partitioner. The server's configured default policy is the primary
-// engine; any other partitioner gets a lazily wired engine of its own,
-// cached on the entry so repeated requests amortize their view and
-// runtime caches exactly like the default path.
-func (s *Server) engineFor(entry *instanceEntry, cfg config.Config) *engine.Engine {
-	name := cfg.PartitionerName()
-	if name == s.base.PartitionerName() {
-		return entry.Engine
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := entry.alt[name]; ok {
-		return e
-	}
-	// One policy at both levels, mirroring lcpserve's -partitioner
-	// flag: the halo cut across dist runtimes and the shard layout
-	// inside each runtime — EngineOptions derives both from the one
-	// Config.Partitioner.
-	e := engine.New(entry.Doc.Instance, cfg.EngineOptions())
-	if entry.alt == nil {
-		entry.alt = make(map[string]*engine.Engine)
-	}
-	entry.alt[name] = e
-	return e
-}
-
 // checkerFor builds the façade checker executing one request: the
-// resolved config's backend over the entry's instance, backed by the
-// entry's cached engine on the engine backends (so every request
-// amortizes the same views and runtimes) and wrapped in the fail-closed
-// safeVerifier. Checkers on the engine backends are cheap per-request
-// shims over the shared engine; the core and dist reference backends
-// carry their own (per-request) state.
+// resolved config's backend over the entry's instance. The engine
+// backend gets a cheap per-request shim over the entry's cached engine
+// (so every request amortizes the same views); the message-passing
+// backends come from the entry's checker cache; core carries no state
+// worth keeping. In-process verifiers are wrapped in the fail-closed
+// safeVerifier.
 func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
-	if cfg.ResolvedBackend() == config.BackendDistTCP {
-		return s.remoteCheckerFor(entry, cfg, scheme)
+	backend := cfg.ResolvedBackend()
+	if backend == config.BackendDist || backend == config.BackendDistTCP {
+		return s.cachedChecker(entry, cfg, scheme)
 	}
 	opts := []lcp.CheckerOption{
-		lcp.WithBackend(string(cfg.ResolvedBackend())),
+		lcp.WithBackend(string(backend)),
 		lcp.WithVerifier(safeVerifier{scheme.Verifier()}),
 	}
-	switch cfg.ResolvedBackend() {
-	case config.BackendEngine, config.BackendEngineDist:
-		opts = append(opts, lcp.WithEngine(s.engineFor(entry, cfg)))
+	if backend == config.BackendEngine {
+		opts = append(opts, lcp.WithEngine(entry.Engine))
 		// The batch strategy rides the config, not the shared engine:
 		// auto is the checker default, so only a forced mode needs an
 		// option.
@@ -686,40 +661,39 @@ func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core
 		case config.BatchColumnsOff:
 			opts = append(opts, lcp.WithBatchColumns(false))
 		}
-	case config.BackendDist:
-		d := cfg.DistOptions()
-		opts = append(opts, lcp.WithShards(d.Shards), lcp.WithPartitioner(d.Partitioner))
 	}
 	return lcp.NewChecker(entry.Doc.Instance, opts...)
 }
 
-// remoteCheckerFor returns the entry's dist-tcp checker for the
-// request's scheme and partitioner, building it on first use. The
-// checker registers the instance on the worker fleet lazily (at first
-// check), so a cached checker amortizes the halo shipping across
-// requests; eviction closes it, deregistering fleet-side. The verifier
-// is not wrapped in safeVerifier — it runs in the worker process, whose
-// shard runner already converts verifier panics to errors.
-func (s *Server) remoteCheckerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
-	key := scheme.Name() + "\x00" + cfg.PartitionerName()
+// cachedChecker returns the entry's message-passing checker for the
+// request's backend, scheme and partitioner, building it on first use.
+// The checker wires its state lazily (at first check), so a cached
+// checker amortizes the dist wiring or the fleet registration across
+// requests; eviction closes it. The dist-tcp verifier is not wrapped in
+// safeVerifier — it runs in the worker process, whose shard runner
+// already converts verifier panics to errors.
+func (s *Server) cachedChecker(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
+	backend := cfg.ResolvedBackend()
+	key := string(backend) + "\x00" + scheme.Name() + "\x00" + cfg.PartitionerName()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if chk, ok := entry.remote[key]; ok {
+	if chk, ok := entry.checkers[key]; ok {
 		return chk, nil
 	}
-	chk, err := lcp.NewChecker(entry.Doc.Instance,
-		lcp.WithBackend(string(config.BackendDistTCP)),
-		lcp.WithScheme(scheme),
-		lcp.WithWorkerAddrs(cfg.WorkerAddrs...),
-		lcp.WithPartitioner(cfg.Partitioner),
-	)
+	opts := []lcp.CheckerOption{lcp.WithBackend(string(backend)), lcp.WithPartitioner(cfg.Partitioner)}
+	if backend == config.BackendDistTCP {
+		opts = append(opts, lcp.WithScheme(scheme), lcp.WithWorkerAddrs(cfg.WorkerAddrs...))
+	} else {
+		opts = append(opts, lcp.WithVerifier(safeVerifier{scheme.Verifier()}), lcp.WithShards(cfg.Shards))
+	}
+	chk, err := lcp.NewChecker(entry.Doc.Instance, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if entry.remote == nil {
-		entry.remote = make(map[string]lcp.Checker)
+	if entry.checkers == nil {
+		entry.checkers = make(map[string]lcp.Checker)
 	}
-	entry.remote[key] = chk
+	entry.checkers[key] = chk
 	return chk, nil
 }
 
@@ -785,11 +759,11 @@ func (s *Server) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	entry.elem = s.lru.PushFront(entry)
 	s.instances[entry.ID] = entry
 	s.mu.Unlock()
-	// Deregister evicted entries' dist-tcp instances from the worker
-	// fleet off the request path: an in-flight remote check holds its
-	// coordinator's lock, so closing waits for it to drain.
+	// Close evicted entries' message-passing checkers off the request
+	// path: an in-flight remote check holds its coordinator's lock, so
+	// closing waits for it to drain.
 	for _, old := range evictedEntries {
-		go old.closeRemote()
+		go s.closeCheckers(old)
 	}
 	writeJSON(w, http.StatusCreated, s.info(entry))
 }
@@ -838,10 +812,10 @@ func (s *Server) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	}
 	// Checks already in flight finish on the engine they resolved; the
 	// engine and its caches are garbage collected once they drain. The
-	// dist-tcp checkers hold fleet registrations, so those are closed
-	// explicitly — off the response path, since close waits for any
-	// in-flight remote check to drain.
-	go entry.closeRemote()
+	// message-passing checkers hold node wirings and fleet
+	// registrations, so those are closed explicitly — off the response
+	// path, since close waits for any in-flight remote check to drain.
+	go s.closeCheckers(entry)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
@@ -898,10 +872,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
+		// Inline one-shot entry: nothing caches it, so its
+		// message-passing checker is closed when the request ends.
+		defer s.closeCheckers(entry)
 	}
 	p, err := requestProof(w, entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {
@@ -951,10 +924,9 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
+		// Inline one-shot entry: nothing caches it, so its
+		// message-passing checker is closed when the request ends.
+		defer s.closeCheckers(entry)
 	}
 	if len(req.Proofs) == 0 {
 		writeError(w, http.StatusBadRequest, "batch request needs a \"proofs\" array")
@@ -1043,12 +1015,6 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
 	}
 	p, err := requestProof(w, entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {

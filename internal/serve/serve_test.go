@@ -20,14 +20,13 @@ import (
 	"lcp/internal/bitstr"
 	"lcp/internal/config"
 	"lcp/internal/core"
-	"lcp/internal/dist"
 	"lcp/internal/serve"
 	"lcp/internal/textio"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{Runtimes: 2}))
+	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -92,16 +91,15 @@ func proofWire(p core.Proof) map[string]string {
 
 // TestServeDistributedBatchConcurrentShards is the -race stress test of
 // concurrent shard checks inside a single serve request: one
-// /check/batch on the engine-dist backend fans its proofs out over the
-// engine's sharded dist runtimes concurrently (each proof's shards also
+// /check/batch on the dist backend fans its proofs out over the
+// instance's cached dist network concurrently (each proof's shards also
 // flood in parallel, on the sharded scheduler), so the whole wiring pool
 // and the shard barriers are exercised under contention. Verdicts must
 // match the sequential reference proof-for-proof.
 func TestServeDistributedBatchConcurrentShards(t *testing.T) {
 	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{
-		Workers:  4,
-		Runtimes: 3,
-		Dist:     dist.Options{Shards: 2},
+		Workers: 4,
+		Shards:  2,
 	}))
 	t.Cleanup(ts.Close)
 
@@ -128,7 +126,7 @@ func TestServeDistributedBatchConcurrentShards(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
 		"instance": id,
 		"proofs":   proofs,
-		"backend":  "engine-dist",
+		"backend":  "dist",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -162,7 +160,7 @@ func TestServeCheckRegisteredInstance(t *testing.T) {
 	}
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 
-	for _, backend := range []string{"engine", "engine-dist"} {
+	for _, backend := range []string{"engine", "dist"} {
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
 			"instance": id,
 			"proof":    proofWire(p),
@@ -423,13 +421,13 @@ func TestServeRejectsMisdirectedFields(t *testing.T) {
 		endpoint string
 		req      map[string]any
 	}{
-		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "backend": "engine-dist"}},
+		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "backend": "dist"}},
 		{"/check", map[string]any{"instance": id, "proofs": []map[string]string{{}}}},
 		{"/check", map[string]any{"instance": id, "proof": map[string]string{}, "stop_on_reject": true}},
 		{"/check/batch", map[string]any{"instance": id, "proof": map[string]string{}, "proofs": []map[string]string{{}}}},
 		{"/check/stream", map[string]any{"instance": id, "proofs": []map[string]string{{}}}},
 		{"/prove", map[string]any{"instance": id, "proof": map[string]string{}}},
-		{"/prove", map[string]any{"instance": id, "backend": "engine-dist"}},
+		{"/prove", map[string]any{"instance": id, "backend": "dist"}},
 		{"/check", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "true"}},
 		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "auto"}},
 		{"/prove", map[string]any{"instance": id, "batch_columns": "true"}},

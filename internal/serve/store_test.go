@@ -164,7 +164,7 @@ func TestServeStats(t *testing.T) {
 	}
 }
 
-// TestServePartitionerOption: distributed checks accept a per-request
+// TestServePartitionerOption: dist checks accept a per-request
 // partitioner override, verdicts agree across all of them, junk names
 // are rejected, and the option on a shared-memory backend is a client
 // error.
@@ -180,7 +180,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	want := core.Check(in, p, scheme.Verifier()).Accepted()
 	for _, name := range []string{"", "contiguous", "bfs", "greedy"} {
-		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "backend": "engine-dist"}
+		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "backend": "dist"}
 		if name != "" {
 			reqBody["partitioner"] = name
 		}
@@ -201,7 +201,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	// Batch path takes the override too.
 	resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
-		"instance": id, "backend": "engine-dist", "partitioner": "bfs",
+		"instance": id, "backend": "dist", "partitioner": "bfs",
 		"proofs": []map[string]string{proofWire(p), proofWire(core.FlipBit(p, 1))},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -209,7 +209,7 @@ func TestServePartitionerOption(t *testing.T) {
 	}
 
 	for name, reqBody := range map[string]map[string]any{
-		"junk-name":       {"instance": id, "proof": proofWire(p), "backend": "engine-dist", "partitioner": "quantum"},
+		"junk-name":       {"instance": id, "proof": proofWire(p), "backend": "dist", "partitioner": "quantum"},
 		"not-distributed": {"instance": id, "proof": proofWire(p), "partitioner": "bfs"},
 		"on-prove":        {"instance": id, "partitioner": "bfs"},
 	} {
@@ -225,9 +225,9 @@ func TestServePartitionerOption(t *testing.T) {
 }
 
 // TestServePartitionerEnginesAmortize: repeated overridden requests hit
-// the same cached alternate engine — observable as stable verdicts over
-// many proofs without re-registering (and exercised for races by -race
-// CI runs).
+// the same cached per-partitioner checker — observable as stable
+// verdicts over many proofs without re-registering (and exercised for
+// races by -race CI runs).
 func TestServePartitionerEnginesAmortize(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Cycle(15))
@@ -245,7 +245,7 @@ func TestServePartitionerEnginesAmortize(t *testing.T) {
 			wantAccept = core.Check(in, proof, scheme.Verifier()).Accepted()
 		}
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
-			"instance": id, "proof": proofWire(proof), "backend": "engine-dist", "partitioner": "greedy",
+			"instance": id, "proof": proofWire(proof), "backend": "dist", "partitioner": "greedy",
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)

@@ -24,9 +24,6 @@
 package lcp
 
 import (
-	"context"
-	"fmt"
-
 	"lcp/internal/core"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
@@ -113,32 +110,13 @@ func NewInstance(g *Graph) *Instance { return core.NewInstance(g) }
 // Prove runs a scheme's prover.
 func Prove(s Scheme, in *Instance) (Proof, error) { return s.Prove(in) }
 
-// Check runs the verifier sequentially on every node, through the
-// façade's core backend.
-//
-// Deprecated: use NewChecker with WithBackend(BackendCore). The façade
-// adds context cancellation, batching, streaming, and the unified
-// Report; this wrapper survives so existing callers keep compiling.
-func Check(in *Instance, p Proof, v Verifier) *Result {
-	c, err := NewChecker(in, WithVerifier(v), WithBackend(BackendCore))
-	if err != nil {
-		panic(fmt.Sprintf("lcp.Check: %v", err))
-	}
-	//lint:ignore ctxflow deprecated ctx-less wrapper kept for compatibility; new callers use Checker.Check with their own ctx
-	rep, err := c.Check(context.Background(), p)
-	if err != nil {
-		panic(fmt.Sprintf("lcp.Check: %v", err))
-	}
-	return rep.Result()
-}
-
-// Partitioner computes a node→shard assignment for the sharded
-// schedulers (WithPartitioner): the dist runtime's shard layout and the
-// engine's distributed halo cut.
-// Cross-shard edges are what sharded execution pays for — channels,
-// per-round message traffic, duplicated halo carriers — so a
-// partitioner that follows graph topology instead of identifier order
-// cuts the simulation's real cost without moving a single verdict.
+// Partitioner computes a node→shard assignment for the message-passing
+// backends (WithPartitioner): the dist runtime's shard layout and the
+// dist-tcp worker cut. Cross-shard edges are what sharded execution
+// pays for — channels, per-round message traffic, wire bytes between
+// workers — so a partitioner that follows graph topology instead of
+// identifier order cuts the simulation's real cost without moving a
+// single verdict.
 type Partitioner = partition.Partitioner
 
 // ContiguousPartitioner assigns near-equal contiguous identifier ranges
@@ -169,10 +147,10 @@ func ProveAndCheck(in *Instance, s Scheme) (Proof, *Result, error) {
 }
 
 // The long-lived verification engine: build once per instance, verify
-// many proofs. Check rebuilds every radius-r view per call; the Engine
-// caches them (per radius, shared across proofs) and serves CheckProof /
-// CheckBatch / CheckStream / CheckDistributed at a fraction of the
-// per-proof cost. Prefer it whenever the same
+// many proofs. The core backend rebuilds every radius-r view per call;
+// the Engine caches them (per radius, shared across proofs) and serves
+// CheckProof / CheckBatch / CheckStream at a fraction of the per-proof
+// cost. Prefer it whenever the same
 // instance meets more than a handful of proofs — tampering sweeps,
 // adversary searches, or a verification service's request stream.
 type (
@@ -188,7 +166,7 @@ type (
 
 // NewEngine builds a default-configured engine for the instance. Pair
 // it with NewChecker's WithEngine option when several checkers (one per
-// scheme, say) should share one set of cached views and runtimes.
+// scheme, say) should share one set of cached views.
 func NewEngine(in *Instance) *Engine { return engine.New(in, engine.Options{}) }
 
 // Built-in schemes (Table 1 of the paper). Each constructor returns a
